@@ -16,14 +16,6 @@ Schema (``repro-bench/1``)
     One entry per (backend, n): seconds for one fully-synchronous
     ATOM round of ``wait-free-gather`` on a random workload, and the
     derived ``robots_per_s``.
-``batch_round_throughput``
-    One entry per (backend, n): seconds for one vectorized
-    :class:`~repro.sim.BatchedSimulation` round stepping ``n_sims``
-    seeds at once, plus the derived ``per_seed_round_s`` (the number
-    the batched-engine regression gate watches) and
-    ``seed_rounds_per_s``.  Measured on the numpy backend only — the
-    batched engine exists to amortize kernel calls across sims, which
-    the python backend cannot do.
 ``lcm_round_throughput``
     One entry per (activation, n): seconds for one complete LCM cycle
     of the unified engine under each activation model — one round for
@@ -46,8 +38,7 @@ Schema (``repro-bench/1``)
     EXPERIMENTS.md, not gated — the warm-hit key above is the gate.
 ``speedups``
     Python-over-numpy ratios of the round times per size (only when
-    both backends ran), plus batched-over-scalar per-seed-round ratios
-    (``metric: "batch_round_throughput"``) when the batched rounds ran.
+    both backends ran).
 
 Timing methodology: wall-clock ``time.perf_counter`` around the call,
 *best of repeats* as the headline number (robust against scheduler
@@ -80,7 +71,7 @@ from .core import Configuration, safe_points
 from .core.views import view_table
 from .geometry import geometric_median, kernels
 from .resilience import TraceFormatError, atomic_write
-from .sim import AtomicActivation, BatchedSimulation, PhasedActivation, Simulation
+from .sim import AtomicActivation, PhasedActivation, Simulation
 from .sim.scheduler import FullySynchronous
 from .workloads import generate
 
@@ -103,13 +94,6 @@ QUICK_SIZES = [16, 64]
 #: Workload seed shared by all benchmarks: timings are comparable across
 #: runs and backends because everybody measures the same point set.
 _SEED = 42
-
-#: Sims stepped together per batched-round measurement, by team size:
-#: large batches where rounds are cheap, small where one round is
-#: already seconds of work.  Sizes outside the table fall back to
-#: roughly 1024 robots per batch.
-_BATCH_SIMS = {16: 256, 64: 64, 256: 8}
-
 
 def _time_best(fn: Callable[[], object], repeats: int) -> Dict[str, float]:
     samples = []
@@ -175,24 +159,6 @@ def _lcm_cycle_seconds(n: int, activation_name: str) -> float:
     start = time.perf_counter()
     for _ in range(steps):
         sim.step()
-    return time.perf_counter() - start
-
-
-def _batched_round_seconds(n: int, n_sims: int) -> float:
-    """One vectorized batched round over ``n_sims`` seeds, timed.
-
-    Mirrors :func:`_one_round_seconds` — same algorithm, workload
-    family and fully-synchronous activation — so ``round_s / n_sims``
-    compares directly against the scalar round time.
-    """
-    sims = BatchedSimulation(
-        [WaitFreeGather() for _ in range(n_sims)],
-        [generate("random", n, _SEED + i) for i in range(n_sims)],
-        schedulers=[FullySynchronous() for _ in range(n_sims)],
-        seeds=list(range(1, n_sims + 1)),
-    )
-    start = time.perf_counter()
-    sims.step_round()
     return time.perf_counter() - start
 
 
@@ -386,24 +352,6 @@ def run_bench(
                     }
                 )
 
-    batch_round_throughput: List[Dict] = []
-    if "numpy" in backends and "numpy" in kernels.available_backends():
-        with kernels.backend("numpy"):
-            for n in sizes:
-                n_sims = _BATCH_SIMS.get(n, max(2, 1024 // max(n, 1)))
-                say(f"batched round backend=numpy n={n} sims={n_sims}")
-                round_s = _batched_round_seconds(n, n_sims)
-                batch_round_throughput.append(
-                    {
-                        "backend": "numpy",
-                        "n": n,
-                        "n_sims": n_sims,
-                        "round_s": round_s,
-                        "per_seed_round_s": round_s / n_sims,
-                        "seed_rounds_per_s": n_sims / round_s,
-                    }
-                )
-
     lcm_round_throughput: List[Dict] = []
     with kernels.backend("python"):
         for activation_name in ("atom", "async"):
@@ -444,21 +392,6 @@ def run_bench(
                     "speedup": times["python"] / times["numpy"],
                 }
             )
-    batch_by_size = {entry["n"]: entry for entry in batch_round_throughput}
-    for n in sizes:
-        times = by_size.get(n, {})
-        batch = batch_by_size.get(n)
-        if batch is not None and "numpy" in times:
-            speedups.append(
-                {
-                    "metric": "batch_round_throughput",
-                    "n": n,
-                    "scalar_numpy_s": times["numpy"],
-                    "batched_per_seed_s": batch["per_seed_round_s"],
-                    "speedup": times["numpy"] / batch["per_seed_round_s"],
-                }
-            )
-
     return {
         "schema": SCHEMA,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -471,7 +404,6 @@ def run_bench(
         "backends": backends,
         "micro": micro,
         "round_throughput": round_throughput,
-        "batch_round_throughput": batch_round_throughput,
         "lcm_round_throughput": lcm_round_throughput,
         "serve_request_latency": serve_request_latency,
         "serve_shed_latency": serve_shed_latency,
@@ -567,10 +499,7 @@ def check_regressions(
 
     For every benchmark key — ``(name, backend, n)`` of a micro
     benchmark (``best_s``), ``(backend, n)`` of a round-throughput
-    measurement (``round_s``) and ``(backend, n)`` of a batched
-    round-throughput measurement (``per_seed_round_s``; normalized per
-    seed so retuning ``n_sims`` cannot dodge the gate),
-    ``(activation, n)`` of an LCM-cycle measurement (``cycle_s``, the
+    measurement (``round_s``), ``(activation, n)`` of an LCM-cycle measurement (``cycle_s``, the
     unified engine's per-activation-model dispatch cost) and
     ``(endpoint, n)`` of a serve-latency measurement (``warm_s``, the
     cache-hit overhead floor; ``cold_s`` is simulation-dominated and
@@ -598,7 +527,6 @@ def check_regressions(
 
     micro_samples: Dict[tuple, List[float]] = {}
     round_samples: Dict[tuple, List[float]] = {}
-    batch_samples: Dict[tuple, List[float]] = {}
     lcm_samples: Dict[tuple, List[float]] = {}
     serve_samples: Dict[tuple, List[float]] = {}
     for doc in recent:
@@ -608,11 +536,6 @@ def check_regressions(
         for entry in doc.get("round_throughput", []):
             key = (entry["backend"], entry["n"])
             round_samples.setdefault(key, []).append(entry["round_s"])
-        for entry in doc.get("batch_round_throughput", []):
-            key = (entry["backend"], entry["n"])
-            batch_samples.setdefault(key, []).append(
-                entry["per_seed_round_s"]
-            )
         for entry in doc.get("lcm_round_throughput", []):
             key = (entry["activation"], entry["n"])
             lcm_samples.setdefault(key, []).append(entry["cycle_s"])
@@ -647,14 +570,6 @@ def check_regressions(
         key = (entry["backend"], entry["n"])
         gate(
             "round_throughput", key, entry["round_s"], round_samples.get(key)
-        )
-    for entry in document.get("batch_round_throughput", []):
-        key = (entry["backend"], entry["n"])
-        gate(
-            "batch_round_throughput",
-            key,
-            entry["per_seed_round_s"],
-            batch_samples.get(key),
         )
     for entry in document.get("lcm_round_throughput", []):
         key = (entry["activation"], entry["n"])

@@ -310,15 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--movement", default="random-stop",
                        choices=_MOVEMENT_CHOICES)
     sweep.add_argument("--max-rounds", type=int, default=20_000)
-    sweep.add_argument("--engine", default="atom",
-                       choices=["atom", "async", "batched"],
-                       help="execution engine; 'batched' steps many seeds "
-                            "per vectorized round (seed-equivalent to "
-                            "'atom')")
-    sweep.add_argument("--batch-size", type=int, default=None, metavar="K",
-                       help="seeds stepped together per batched-engine "
-                            "simulation (default 64; ignored by the "
-                            "scalar engines)")
+    sweep.add_argument("--engine", default="atom", choices=["atom", "async"],
+                       help="execution engine")
     _add_visibility_flag(sweep)
     sweep.add_argument("--seeds", type=int, default=16, metavar="N",
                        help="number of seeds to sweep "
@@ -770,19 +763,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     write_bench(document, args.output)
     print(f"wrote {args.output}")
     for entry in document["speedups"]:
-        if entry.get("metric") == "batch_round_throughput":
-            print(
-                f"n={entry['n']}: scalar numpy "
-                f"{entry['scalar_numpy_s']:.3f}s vs batched "
-                f"{entry['batched_per_seed_s']:.3f}s per seed-round "
-                f"-> {entry['speedup']:.1f}x"
-            )
-        else:
-            print(
-                f"n={entry['n']}: python {entry['python_s']:.3f}s vs "
-                f"numpy {entry['numpy_s']:.3f}s per round "
-                f"-> {entry['speedup']:.1f}x"
-            )
+        print(
+            f"n={entry['n']}: python {entry['python_s']:.3f}s vs "
+            f"numpy {entry['numpy_s']:.3f}s per round "
+            f"-> {entry['speedup']:.1f}x"
+        )
     if args.check:
         if history is None:
             print(
@@ -1033,7 +1018,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             policy=policy,
             journal_path=args.journal,
             resume=args.resume,
-            batch_size=args.batch_size,
             on_seed_result=on_seed,
             on_failure=on_failure,
         )

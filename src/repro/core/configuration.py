@@ -286,9 +286,8 @@ class Configuration:
     def memo_get(self, key: str, default=None):
         """Peek at a memoized value without computing it.
 
-        Lets batch pre-seeding (the batched engine warms several
-        configurations' towers with one vectorized kernel call) skip
-        configurations whose value already exists.
+        Tells a cache hit from a miss without changing the memo, e.g.
+        for instrumentation that times only real layer computations.
         """
         self._validate_cache_backend()
         return self._cache.get(key, default)

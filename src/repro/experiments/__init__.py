@@ -32,14 +32,13 @@ from . import (
     e9_safe_points,
 )
 from .report import Table
-from .runner import Scenario, run_batch, run_batched, run_scenario
+from .runner import Scenario, run_batch, run_scenario
 
 __all__ = [
     "EXPERIMENTS",
     "Table",
     "Scenario",
     "run_batch",
-    "run_batched",
     "run_scenario",
     "run_experiment",
 ]

@@ -21,9 +21,9 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from .. import obs as _obs
 from ..obs import aggregate
@@ -47,17 +47,16 @@ from ..sim import (
     LaggardAdversary,
     NoCrashes,
     PerRobotSpeed,
+    PhasedActivation,
     PoissonScheduler,
     RandomCrashes,
     RandomStop,
     RandomSubset,
-    BatchedSimulation,
     RigidMovement,
     RoundRobin,
     Simulation,
     SimulationResult,
 )
-from ..sim.async_engine import AsyncSimulation
 from ..sim.trace import TraceMeta
 from ..workloads import generate
 
@@ -66,20 +65,12 @@ __all__ = [
     "build_simulation",
     "run_scenario",
     "run_batch",
-    "run_batched",
-    "DEFAULT_BATCH_SIZE",
     "parallel_map",
     "executor",
     "make_scheduler",
     "make_crashes",
     "make_movement",
 ]
-
-#: Seeds stepped together per :class:`~repro.sim.BatchedSimulation` in a
-#: batched sweep.  Large enough to amortize the per-round kernel calls,
-#: small enough that a chunk retry after a worker crash stays cheap.
-DEFAULT_BATCH_SIZE = 64
-
 
 #: Scheduler factories by name; fresh instances per run (schedulers may
 #: be stateful).
@@ -139,14 +130,15 @@ class Scenario:
     f: int = 0
     movement: str = "random-stop"
     max_rounds: int = 20_000
-    frames: str = "random"
+    #: ``"identity"`` (global-frame LOOK, one destination per occupied
+    #: point) or ``"random"`` (per-robot private-frame LOOK); see
+    #: :mod:`repro.sim.engine`.
+    frames: str = "identity"
     halt_on_bivalent: bool = True
-    #: Execution model: ``"atom"`` (the paper's semi-synchronous rounds),
-    #: ``"async"`` (the CORDA tick engine; ``max_rounds`` then bounds
-    #: ticks) or ``"batched"`` (the structure-of-arrays engine stepping
-    #: many seeds per vectorized round, seed-equivalent to ``"atom"``).
-    #: Part of the scenario — and therefore of the trace schema — so
-    #: archived ASYNC runs replay on the right engine.
+    #: Execution model: ``"atom"`` (the paper's semi-synchronous rounds)
+    #: or ``"async"`` (the CORDA tick engine; ``max_rounds`` then bounds
+    #: ticks).  Part of the scenario — and therefore of the trace
+    #: schema — so archived ASYNC runs replay on the right engine.
     engine: str = "atom"
     #: Finite visibility radius threaded into every LOOK snapshot
     #: (``None`` = the paper's unlimited visibility).  A new field with a
@@ -158,6 +150,8 @@ class Scenario:
         suffix = (
             "" if self.visibility is None else f"/vis={self.visibility:g}"
         )
+        if self.frames != "identity":
+            suffix += f"/frames={self.frames}"
         return (
             f"{prefix}{self.workload}/n={self.n}/f={self.f}/{self.scheduler}/"
             f"{self.crashes}/{self.movement}{suffix}"
@@ -189,7 +183,7 @@ def build_simulation(
     *,
     engine_seed: Optional[int] = None,
     record_trace: bool = False,
-) -> Union[Simulation, AsyncSimulation]:
+) -> Simulation:
     """The one construction path from a scenario to an engine instance.
 
     ``repro check --replay`` rebuilds archived runs through this exact
@@ -206,25 +200,12 @@ def build_simulation(
         scenario.engine_seed(seed) if engine_seed is None else engine_seed
     )
     if scenario.engine == "async":
-        return AsyncSimulation(
-            algorithm,
-            points,
-            scheduler=make_scheduler(scenario.scheduler),
-            crash_adversary=make_crashes(scenario.crashes, scenario.f),
-            movement=make_movement(scenario.movement),
-            seed=resolved_seed,
-            frames=scenario.frames,
-            max_ticks=scenario.max_rounds,
-            halt_on_bivalent=scenario.halt_on_bivalent,
-            record_trace=record_trace,
-            visibility=scenario.visibility,
-        )
-    if scenario.engine == "batched":
-        raise ValueError(
-            "the batched engine steps many seeds per instance; build it "
-            "through run_batched()/run_batch(), not build_simulation()"
-        )
-    if scenario.engine != "atom":
+        # Every ASYNC cycle needs two activations, hence the looser
+        # fairness bound.
+        phased = dict(activation=PhasedActivation(), fairness_bound=64)
+    elif scenario.engine == "atom":
+        phased = {}
+    else:
         raise ValueError(f"unknown engine {scenario.engine!r}")
     return Simulation(
         algorithm,
@@ -238,6 +219,7 @@ def build_simulation(
         halt_on_bivalent=scenario.halt_on_bivalent,
         record_trace=record_trace,
         visibility=scenario.visibility,
+        **phased,
     )
 
 
@@ -254,27 +236,7 @@ def run_scenario(
     :class:`~repro.sim.trace.TraceMeta` block, which is what makes the
     archive self-describing: ``repro check`` can re-simulate it from the
     JSON alone.
-
-    A ``"batched"`` scenario runs the seed through a one-sim
-    :class:`~repro.sim.BatchedSimulation` (seed-equivalent to the scalar
-    engine).  The batched engine keeps no per-round trace, so
-    ``record_trace`` is rejected — replay with ``engine="atom"`` instead,
-    which reproduces the same run.
     """
-    if scenario.engine == "batched":
-        if record_trace:
-            raise ValueError(
-                "the batched engine records no trace; replay with "
-                "engine='atom' (seed-equivalent by the equivalence suite)"
-            )
-        before = aggregate.capture_before() if _obs.state.enabled else None
-        engine_seeds = None if engine_seed is None else [engine_seed]
-        result = run_batched(scenario, [seed], engine_seeds=engine_seeds)[0]
-        if _obs.state.enabled:
-            _obs.metrics.inc("runner.runs")
-            _obs.metrics.inc("runner.rounds", result.rounds)
-            result.obs = aggregate.seed_payload(before)
-        return result
     # The capture point precedes the build: workload generation and
     # algorithm setup do real geometry, and that work belongs to the
     # seed's delta — otherwise it vanishes between payload windows.
@@ -307,81 +269,6 @@ def run_scenario(
             engine=scenario.engine,
         )
     return result
-
-
-def _run_batched_chunk(
-    scenario: Scenario,
-    seeds: Sequence[int],
-    engine_seeds: Optional[Sequence[int]] = None,
-) -> List[SimulationResult]:
-    """One :class:`~repro.sim.BatchedSimulation` over ``seeds``.
-
-    Module-level so a pooled batched sweep can pickle
-    ``partial(_run_batched_chunk, scenario)`` to its workers.  Per-sim
-    results depend only on that sim's own seed (the batched kernels are
-    padding-invariant), so chunk composition never affects results —
-    which is what lets ``--resume`` re-chunk the remaining seeds freely.
-
-    ``scenario.frames`` is deliberately ignored: the algorithm is frame
-    equivariant (checked by the invariance suite), so the batched engine
-    computes every snapshot in the global frame once per sim instead of
-    once per robot.
-    """
-    seeds = list(seeds)
-    if scenario.visibility is not None:
-        raise ValueError(
-            "the batched engine computes one global snapshot per sim and "
-            "cannot truncate per-robot views; run visibility scenarios on "
-            "engine='atom' or 'async'"
-        )
-    if engine_seeds is None:
-        engine_seeds = [scenario.engine_seed(seed) for seed in seeds]
-    sim = BatchedSimulation(
-        [ALGORITHMS[scenario.algorithm]() for _ in seeds],
-        [generate(scenario.workload, scenario.n, seed) for seed in seeds],
-        schedulers=[make_scheduler(scenario.scheduler) for _ in seeds],
-        crash_adversaries=[
-            make_crashes(scenario.crashes, scenario.f) for _ in seeds
-        ],
-        movements=[make_movement(scenario.movement) for _ in seeds],
-        seeds=list(engine_seeds),
-        max_rounds=scenario.max_rounds,
-        halt_on_bivalent=scenario.halt_on_bivalent,
-    )
-    return sim.run_all()
-
-
-def run_batched(
-    scenario: Scenario,
-    seeds: Sequence[int],
-    *,
-    batch_size: Optional[int] = None,
-    engine_seeds: Optional[Sequence[int]] = None,
-) -> List[SimulationResult]:
-    """Run a scenario over ``seeds`` on the batched engine, in seed order.
-
-    Seeds are stepped ``batch_size`` (default
-    :data:`DEFAULT_BATCH_SIZE`) at a time through
-    :class:`~repro.sim.BatchedSimulation`; each result is
-    seed-equivalent to :func:`run_scenario` on the ``"atom"`` engine and
-    independent of the chunking (kernel padding is inert), so any
-    ``batch_size`` returns the same results.
-    """
-    seeds = list(seeds)
-    size = batch_size or DEFAULT_BATCH_SIZE
-    if size <= 0:
-        raise ValueError(f"batch_size must be positive, got {size}")
-    results: List[SimulationResult] = []
-    for i in range(0, len(seeds), size):
-        chunk_engine_seeds = (
-            None if engine_seeds is None else list(engine_seeds[i : i + size])
-        )
-        results.extend(
-            _run_batched_chunk(
-                scenario, seeds[i : i + size], chunk_engine_seeds
-            )
-        )
-    return results
 
 
 def _pin_backend(name: str) -> None:
@@ -518,7 +405,6 @@ def run_batch(
     chaos: Optional[ChaosPolicy] = None,
     journal_path: Optional[str] = None,
     resume: bool = False,
-    batch_size: Optional[int] = None,
     on_seed_result: Optional[
         Callable[[int, SimulationResult], None]
     ] = None,
@@ -553,17 +439,6 @@ def run_batch(
     journal-resumed seeds first (their recorded results), then fresh
     seeds in completion order; ``on_failure(key, exc, strike)`` fires
     per failed attempt.  The live sweep dashboard hangs off both.
-
-    A ``"batched"`` scenario shards the seed range into chunks of
-    ``batch_size`` (default :data:`DEFAULT_BATCH_SIZE`) and steps each
-    chunk through one :class:`~repro.sim.BatchedSimulation` — the work
-    unit distributed to the pool, retried, and journalled is the chunk,
-    but the journal records and ``on_seed_result`` fires per seed, so
-    dashboard/aggregator/resume behave exactly as on the scalar engines
-    (a resume re-chunks the remaining seeds; results are
-    chunk-invariant).  Failure archiving replays on ``engine="atom"``:
-    the batched engine keeps no trace, and the equivalence suite makes
-    the scalar replay reproduce the batched run.
     """
     seeds = list(seeds)
     completed: Dict[int, SimulationResult] = {}
@@ -588,46 +463,17 @@ def run_batch(
             on_seed_result(todo[index], result)
 
     try:
-        if scenario.engine == "batched":
-            size = batch_size or DEFAULT_BATCH_SIZE
-            chunks = [todo[i : i + size] for i in range(0, len(todo), size)]
-
-            def checkpoint_chunk(index: int, results) -> None:
-                for seed, result in zip(chunks[index], results):
-                    if journal is not None:
-                        journal.append(seed, result)
-                    if on_seed_result is not None:
-                        on_seed_result(seed, result)
-
-            fresh_chunks = parallel_map(
-                partial(_run_batched_chunk, scenario),
-                chunks,
-                workers=workers,
-                pool=pool,
-                policy=policy,
-                chaos=chaos,
-                keys=[
-                    f"{label}#seeds{chunk[0]}..{chunk[-1]}"
-                    for chunk in chunks
-                ],
-                on_result=checkpoint_chunk,
-                on_failure=on_failure,
-            )
-            # Chunks are contiguous slices of ``todo``, so flattening
-            # restores exact todo order for the zip below.
-            fresh = [r for chunk in fresh_chunks for r in chunk]
-        else:
-            fresh = parallel_map(
-                partial(run_scenario, scenario),
-                todo,
-                workers=workers,
-                pool=pool,
-                policy=policy,
-                chaos=chaos,
-                keys=[f"{label}#seed{seed}" for seed in todo],
-                on_result=checkpoint,
-                on_failure=on_failure,
-            )
+        fresh = parallel_map(
+            partial(run_scenario, scenario),
+            todo,
+            workers=workers,
+            pool=pool,
+            policy=policy,
+            chaos=chaos,
+            keys=[f"{label}#seed{seed}" for seed in todo],
+            on_result=checkpoint,
+            on_failure=on_failure,
+        )
     finally:
         if journal is not None:
             journal.close()
@@ -641,17 +487,10 @@ def run_batch(
         should_archive = archive_if or (
             lambda r: not r.gathered and r.verdict != "impossible"
         )
-        # The batched engine keeps no trace; archive the seed-equivalent
-        # scalar run instead (the trace then replays on the atom engine).
-        replay_scenario = (
-            replace(scenario, engine="atom")
-            if scenario.engine == "batched"
-            else scenario
-        )
         for seed, result in zip(seeds, results):
             if not should_archive(result):
                 continue
-            replayed = run_scenario(replay_scenario, seed, record_trace=True)
+            replayed = run_scenario(scenario, seed, record_trace=True)
             path = os.path.join(
                 archive_dir,
                 f"{_archive_slug(scenario.label())}-seed{seed}.json",

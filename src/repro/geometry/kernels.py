@@ -59,10 +59,6 @@ __all__ = [
     "unit_vector_sum",
     "weiszfeld",
     "pairwise_diameter",
-    "batched_polar_views",
-    "batched_max_ray_loads",
-    "batched_weiszfeld",
-    "batched_gather_candidates",
 ]
 
 # NumPy is optional; the pure-Python backend needs nothing.  Only a
@@ -527,292 +523,3 @@ def weiszfeld(
         if moved <= eps_solver:
             break
     return x, y, iterations
-
-
-# -- sims-axis batched kernels (batched SoA engine) --------------------------
-#
-# The kernels below generalize their 2-D twins above with a leading sims
-# axis: one call analyses S independent simulations at once.  They exist
-# for ``repro.sim.batch.BatchedSimulation``, which amortizes the numpy
-# dispatch overhead of per-sim kernel calls across a whole seed batch.
-# Unlike the per-configuration kernels they accept ragged per-sim inputs
-# (padded internally with inert entries) and may take ndarray state
-# directly — the batched engine keeps a float64 mirror of all positions.
-# Per-sim outputs replicate the corresponding 2-D kernel elementwise.
-
-
-def _pad_ragged(groups, dtype):
-    """Stack ragged per-sim sequences into a zero-padded array + counts."""
-    counts = [len(g) for g in groups]
-    width = max(counts) if counts else 0
-    out = _np.zeros((len(groups), width), dtype=dtype)
-    for i, g in enumerate(groups):
-        if counts[i]:
-            out[i, : counts[i]] = g
-    return out, counts
-
-
-@_timed
-def batched_polar_views(
-    origins: Sequence[Sequence[Tuple[float, float]]],
-    points: Sequence[Sequence[Tuple[float, float]]],
-    centers: Sequence[Tuple[float, float]],
-    eps_dist: float,
-    eps_angle: float,
-) -> List[List[Tuple[Tuple[float, float], ...]]]:
-    """:func:`batch_polar_views` for S sims in one numpy pass.
-
-    ``origins[s]`` are sim *s*'s non-central support points (ragged —
-    padded internally), ``points[s]`` its full multiset (uniform length
-    across sims), ``centers[s]`` its SEC center.  Returns one view list
-    per sim, elementwise identical to calling the 2-D kernel per sim:
-    padded origin rows compute garbage under suppressed fp warnings and
-    are sliced away before anything is returned.
-    """
-    arrs = [_np.asarray(g, dtype=_np.float64).reshape(-1, 2) for g in origins]
-    counts = [len(a) for a in arrs]
-    k_max = max(counts)
-    s_count = len(arrs)
-    o = _np.zeros((s_count, k_max, 2), dtype=_np.float64)
-    for i, a in enumerate(arrs):
-        o[i, : counts[i]] = a
-    p = _np.asarray(points, dtype=_np.float64)
-    c = _np.asarray(centers, dtype=_np.float64)
-
-    dx = p[:, None, :, 0] - o[:, :, 0, None]
-    dy = p[:, None, :, 1] - o[:, :, 1, None]
-    d = _np.hypot(dx, dy)
-
-    vx = c[:, None, 0] - o[:, :, 0]
-    vy = c[:, None, 1] - o[:, :, 1]
-    unit = _np.hypot(vx, vy)
-
-    with _np.errstate(divide="ignore", invalid="ignore"):
-        theta = _normalize_angles(
-            _np.arctan2(dy, dx) - _np.arctan2(vy, vx)[:, :, None]
-        )
-        zero_dir = (theta <= eps_angle) | ((_TWO_PI - theta) <= eps_angle)
-        t_q = _np.where(zero_dir, 0.0, _np.round(theta / eps_angle) * eps_angle)
-        r_q = _np.round((d / unit[:, :, None]) / eps_dist) * eps_dist
-
-        co_located = d <= eps_dist
-        r_q = _np.where(co_located, 0.0, r_q)
-        t_q = _np.where(co_located, 0.0, t_q)
-
-        order = _np.lexsort((t_q, r_q), axis=-1)
-    r_q = _np.take_along_axis(r_q, order, axis=-1)
-    t_q = _np.take_along_axis(t_q, order, axis=-1)
-    return [
-        [
-            tuple(zip(r_row, t_row))
-            for r_row, t_row in zip(r_sim[:k], t_sim[:k])
-        ]
-        for r_sim, t_sim, k in zip(r_q.tolist(), t_q.tolist(), counts)
-    ]
-
-
-#: Soft cap on S*M*M elements per batched ray-loads slab, keeping the
-#: intermediate (sims, centers, points) tensors around a few hundred MB
-#: in the worst case instead of unbounded.
-_BATCH_RAY_BUDGET = 4_000_000
-
-
-@_timed
-def batched_max_ray_loads(
-    supports: Sequence[Sequence[Tuple[float, float]]],
-    mults: Sequence[Sequence[int]],
-    eps_dist: float,
-    eps_angle: float,
-    max_angular_resolution: float,
-) -> List[List[int]]:
-    """:func:`max_ray_loads` for S sims in one numpy pass.
-
-    ``supports[s]`` / ``mults[s]`` are sim *s*'s support points and
-    multiplicities (ragged — padded internally).  Padded entries behave
-    exactly like the 2-D kernel's at-center entries: ``off`` is False,
-    their angle is +inf and their multiplicity 0, so they sort last,
-    create no cluster boundaries (inf - inf = nan compares False) and
-    add nothing to any cluster sum.  Returns one load list per sim,
-    elementwise identical to per-sim 2-D calls.
-    """
-    arrs = [_np.asarray(g, dtype=_np.float64).reshape(-1, 2) for g in supports]
-    counts = [len(a) for a in arrs]
-    m_max = max(counts)
-    out: List[List[int]] = []
-    chunk = max(1, _BATCH_RAY_BUDGET // max(1, m_max * m_max))
-    for start in range(0, len(arrs), chunk):
-        out.extend(
-            _max_ray_loads_slab(
-                arrs[start : start + chunk],
-                mults[start : start + chunk],
-                counts[start : start + chunk],
-                eps_dist,
-                eps_angle,
-                max_angular_resolution,
-            )
-        )
-    return out
-
-
-def _max_ray_loads_slab(
-    arrs, mults, counts, eps_dist, eps_angle, max_angular_resolution
-):
-    s_count = len(arrs)
-    m = max(counts)
-    sx = _np.zeros((s_count, m), dtype=_np.float64)
-    sy = _np.zeros((s_count, m), dtype=_np.float64)
-    valid = _np.zeros((s_count, m), dtype=bool)
-    for i, a in enumerate(arrs):
-        k = counts[i]
-        sx[i, :k] = a[:, 0]
-        sy[i, :k] = a[:, 1]
-        valid[i, :k] = True
-    mult_arr, _ = _pad_ragged(mults, _np.int64)
-
-    # [sim, center row, support column], mirroring the 2-D kernel.
-    dx = sx[:, None, :] - sx[:, :, None]
-    dy = sy[:, None, :] - sy[:, :, None]
-    d = _np.hypot(dx, dy)
-    off = (d > eps_dist) & valid[:, None, :]
-
-    d_off = _np.where(off, d, _np.inf)
-    d_min = d_off.min(axis=2)
-    has_off = _np.isfinite(d_min)
-    safe_d_min = _np.where(has_off, d_min, 1.0)
-    eps_row = _np.where(
-        has_off,
-        _np.minimum(max_angular_resolution, eps_angle + eps_dist / safe_d_min),
-        eps_angle,
-    )
-
-    phi = _np.where(off, _normalize_angles(_np.arctan2(dy, dx)), _np.inf)
-    order = _np.argsort(phi, axis=2, kind="stable")
-    phi_s = _np.take_along_axis(phi, order, axis=2)
-    mult_b = _np.broadcast_to(mult_arr[:, None, :], (s_count, m, m))
-    mult_s = _np.where(
-        _np.take_along_axis(off, order, axis=2),
-        _np.take_along_axis(mult_b, order, axis=2),
-        0,
-    )
-
-    with _np.errstate(invalid="ignore"):
-        boundary = (phi_s[:, :, 1:] - phi_s[:, :, :-1]) > eps_row[:, :, None]
-    cid = _np.zeros((s_count, m, m), dtype=_np.int64)
-    _np.cumsum(boundary, axis=2, out=cid[:, :, 1:])
-    sums = _np.zeros((s_count, m, m), dtype=_np.int64)
-    sims_idx = _np.broadcast_to(
-        _np.arange(s_count)[:, None, None], (s_count, m, m)
-    )
-    rows = _np.broadcast_to(_np.arange(m)[None, :, None], (s_count, m, m))
-    _np.add.at(sums, (sims_idx, rows, cid), mult_s)
-    loads = sums.max(axis=2)
-
-    k = off.sum(axis=2)
-    last_idx = _np.maximum(k - 1, 0)
-    last_cid = _np.take_along_axis(cid, last_idx[:, :, None], axis=2)[:, :, 0]
-    phi_last = _np.take_along_axis(phi_s, last_idx[:, :, None], axis=2)[:, :, 0]
-    with _np.errstate(invalid="ignore"):
-        seam = (
-            (k > 0)
-            & (last_cid > 0)
-            & ((phi_s[:, :, 0] + _TWO_PI) - phi_last <= eps_row)
-        )
-    merged = (
-        sums[:, :, 0]
-        + _np.take_along_axis(sums, last_cid[:, :, None], axis=2)[:, :, 0]
-    )
-    loads = _np.where(seam, _np.maximum(loads, merged), loads)
-    loads = _np.where(k > 0, loads, 0)
-    return [row[:c] for row, c in zip(loads.tolist(), counts)]
-
-
-@_timed
-def batched_weiszfeld(
-    points: Sequence[Sequence[Tuple[float, float]]],
-    starts: Sequence[Tuple[float, float]],
-    eps_solver: float,
-    max_iterations: int,
-) -> List[Tuple[float, float, int]]:
-    """:func:`weiszfeld` for S same-sized point sets in one loop.
-
-    Each sim's slice runs the identical Vardi-Zhang iteration; converged
-    sims freeze (their iterate and iteration count stop changing) while
-    the rest continue.  One deliberate divergence from the 2-D kernel:
-    sums here are masked-to-zero instead of compressed, which can round
-    differently only when a point sits within ``eps_solver`` of the
-    iterate — a perturbation inside the solver tolerance that callers
-    absorb by re-certifying the result per sim (`is_weber_point`).
-    """
-    pts = _np.asarray(points, dtype=_np.float64)
-    px = pts[:, :, 0]
-    py = pts[:, :, 1]
-    st = _np.asarray(starts, dtype=_np.float64)
-    x = st[:, 0].copy()
-    y = st[:, 1].copy()
-    s_count, n = px.shape
-    iters = _np.zeros(s_count, dtype=_np.int64)
-    active = _np.ones(s_count, dtype=bool)
-    for _ in range(max_iterations):
-        ia = _np.flatnonzero(active)
-        if ia.size == 0:
-            break
-        iters[ia] += 1
-        dx = px[ia] - x[ia, None]
-        dy = py[ia] - y[ia, None]
-        d = _np.hypot(dx, dy)
-        mask = d > eps_solver
-        with _np.errstate(divide="ignore"):
-            w = _np.where(mask, 1.0 / d, 0.0)
-        wsum = w.sum(axis=1)
-        far = mask.sum(axis=1)
-        degenerate = far == 0  # every point at the iterate: optimal
-        safe_wsum = _np.where(degenerate, 1.0, wsum)
-        tx = (px[ia] * w).sum(axis=1) / safe_wsum
-        ty = (py[ia] * w).sum(axis=1) / safe_wsum
-        at_x = n - far
-        rx = (dx * w).sum(axis=1)
-        ry = (dy * w).sum(axis=1)
-        r_norm = _np.hypot(rx, ry)
-        # Vardi-Zhang pull-back for sims with co-located mass; a zero
-        # residual there means the iterate is a fixpoint (stop as-is).
-        stuck = (at_x > 0) & (r_norm == 0.0)
-        beta = _np.minimum(1.0, at_x / _np.where(r_norm > 0.0, r_norm, 1.0))
-        nx = _np.where(at_x == 0, tx, x[ia] + (1.0 - beta) * (tx - x[ia]))
-        ny = _np.where(at_x == 0, ty, y[ia] + (1.0 - beta) * (ty - y[ia]))
-        hold = degenerate | stuck
-        nx = _np.where(hold, x[ia], nx)
-        ny = _np.where(hold, y[ia], ny)
-        moved = _np.hypot(nx - x[ia], ny - y[ia])
-        x[ia] = nx
-        y[ia] = ny
-        active[ia[hold | (moved <= eps_solver)]] = False
-    return list(zip(x.tolist(), y.tolist(), iters.tolist()))
-
-
-@_timed
-def batched_gather_candidates(positions, live, eps_dist) -> List[bool]:
-    """Conservative per-sim "all live robots co-located" prefilter.
-
-    ``positions`` is ``(S, R, 2)`` and ``live`` ``(S, R)`` boolean
-    array-likes.  A sim is a candidate when every live robot lies within
-    the slackened tolerance of the first live robot (the scalar
-    predicate's anchor).  The threshold carries relative headroom for
-    the <=1-ulp difference between ``np.hypot`` and ``math.hypot``:
-    True may be a false positive (callers re-check with the exact
-    scalar predicate) but False is always exact — no live-robot pair
-    farther apart than the slack can be gathered under ``eps_dist``.
-    Sims with no live robot are not candidates (the scalar predicate
-    returns no spot for them either).
-    """
-    pos = _np.asarray(positions, dtype=_np.float64)
-    lv = _np.asarray(live, dtype=bool)
-    s_count = lv.shape[0]
-    any_live = lv.any(axis=1)
-    first = _np.argmax(lv, axis=1)
-    anchor = pos[_np.arange(s_count), first]
-    d = _np.hypot(
-        pos[:, :, 0] - anchor[:, None, 0], pos[:, :, 1] - anchor[:, None, 1]
-    )
-    slack = eps_dist * (1.0 + 1e-9) + 1e-300
-    ok = (d <= slack) | ~lv
-    return (ok.all(axis=1) & any_live).tolist()

@@ -5,8 +5,6 @@ the ASYNC/CORDA model; the pluggable activation models in
 :mod:`repro.sim.lcm` select between them.
 """
 
-from .async_engine import AsyncSimulation
-from .batch import BatchedSimulation
 from .byzantine import (
     AntiGatherByzantine,
     ByzantinePolicy,
@@ -58,8 +56,6 @@ from .replay import (
 )
 
 __all__ = [
-    "AsyncSimulation",
-    "BatchedSimulation",
     "AntiGatherByzantine",
     "ByzantinePolicy",
     "ElectionThiefByzantine",

@@ -23,15 +23,28 @@ Each round (Section II):
    seeing the step's whole move set first (``begin_round`` /
    ``endpoint_for`` identity hooks).
 
+LOOK paths
+----------
+Robots are anonymous and oblivious with strong multiplicity detection
+and chirality, so a destination is a frame-equivariant function of the
+configuration and the robot's position: co-located robots compute the
+same point.  With ``frames="identity"`` (the default), no mirrored
+robot, no sensor noise and unlimited visibility, the engine therefore
+runs the algorithm once per occupied point per snapshot, in the global
+frame, and co-located robots share the result.  Any of ``frames="random"``,
+a mirrored robot, sensor noise or a visibility limit takes the per-robot
+path instead: each robot observes the configuration in its own private
+frame and runs the whole analysis there.
+
 Exactness plumbing
 ------------------
-The algorithm runs in each robot's local frame, so destinations suffer a
-round-trip through an affine similarity (~1e-12 relative error).  The
-engine *snaps* a computed global destination onto an existing robot
-position when within ``snap_tolerance``; physically this says a robot
-that decides "go to where that robot stands" reaches exactly that spot.
-Likewise a move ending within tolerance of its destination ends exactly
-there.  Multiplicities therefore form bitwise, which keeps the strong
+Private-frame destinations suffer a round-trip through an affine
+similarity (~1e-12 relative error).  The engine *snaps* a computed
+global destination onto an existing robot position when within
+``snap_tolerance``; physically this says a robot that decides "go to
+where that robot stands" reaches exactly that spot.  Likewise a move
+ending within tolerance of its destination ends exactly there.
+Multiplicities therefore form bitwise, which keeps the strong
 multiplicity detection of the core layer exact.
 """
 
@@ -76,10 +89,9 @@ def snap_destination(
 ) -> Point:
     """Snap ``dest`` onto an occupied position it is trying to name.
 
-    Shared by the scalar and batched engines so both apply the identical
-    exactness rule (see the module docstring): among support points
-    within ``snap_tolerance`` the last one achieving the running minimum
-    distance wins, matching the scalar engine's historical scan order.
+    The exactness rule of the module docstring, applied on both LOOK
+    paths: among support points within ``snap_tolerance`` the last one
+    achieving the running minimum distance wins.
     """
     best = None
     best_d = snap_tolerance
@@ -175,12 +187,13 @@ class Simulation:
         onto scheduler activations; defaults to
         :class:`~repro.sim.lcm.AtomicActivation` (the paper's ATOM
         rounds).  :class:`~repro.sim.lcm.PhasedActivation` gives the
-        ASYNC/CORDA tick semantics (or use the
-        :class:`~repro.sim.AsyncSimulation` convenience wrapper).
+        ASYNC/CORDA tick semantics.
     frames:
-        ``"identity"`` runs all robots in the global frame (useful for
-        debugging); ``"random"`` gives each robot a private random
-        rotation + scale, exercising disorientation-with-chirality.
+        ``"identity"`` (the default) runs all robots in the unanchored
+        global frame, computing one destination per occupied point (see
+        "LOOK paths" in the module docstring); ``"random"`` gives each
+        robot a private random rotation + scale and runs its LOOK in
+        that frame, exercising disorientation-with-chirality.
     fairness_bound:
         Max rounds a live robot may be starved before force-activation.
     snap_tolerance:
@@ -204,7 +217,7 @@ class Simulation:
         movement: Optional[MovementModel] = None,
         activation: Optional[ActivationModel] = None,
         tol: Tolerance = DEFAULT_TOLERANCE,
-        frames: str = "random",
+        frames: str = "identity",
         seed: int = 0,
         fairness_bound: int = 32,
         snap_tolerance: float = 1e-9,
@@ -343,6 +356,15 @@ class Simulation:
         # all consult the same round's configuration — rebuilding it
         # would discard those memos three times per round.
         self._config_cache: Optional[Configuration] = None
+        # Global-frame LOOK (see the module docstring): raw destinations
+        # of the cached configuration, keyed by occupied point.  Reset
+        # together with ``_config_cache``.
+        self._global_look = (
+            frames == "identity"
+            and sensor_noise == 0.0
+            and visibility is None
+        )
+        self._look_cache: Dict[Point, Point] = {}
         # Local-frame twin of the cache above: each robot's private
         # snapshot (and therefore its memoized tower) only changes when
         # some robot moves.  Noisy sensors re-perturb every LOOK, so the
@@ -410,6 +432,22 @@ class Simulation:
         """Snap ``dest`` onto an occupied position it is trying to name."""
         return snap_destination(dest, config, self.snap_tolerance)
 
+    def _look(self, p: Point) -> Point:
+        """Raw global-frame destination of the robots at ``p``.
+
+        Computed once per occupied point of the current configuration;
+        co-located robots share it.
+        """
+        config = self.configuration()
+        rep = config.locate(p)
+        if rep is None:
+            rep = p
+        dest = self._look_cache.get(rep)
+        if dest is None:
+            dest = self.algorithm.compute(config, rep)
+            self._look_cache[rep] = dest
+        return dest
+
     def _local_configuration(self, robot: Robot) -> Configuration:
         """The robot's private-frame snapshot, cached across idle rounds."""
         cached = (
@@ -442,9 +480,10 @@ class Simulation:
         """LOOK + COMPUTE for one robot: the snapped global destination.
 
         This is the one place a snapshot is taken and an algorithm run,
-        shared by both activation models: byzantine policies, private
-        frames, visibility truncation, sensor noise and destination
-        snapping all happen here.  Returns ``None`` when a noisy
+        shared by both activation models: byzantine policies, the
+        global-frame and private-frame LOOK paths, visibility
+        truncation, sensor noise and destination snapping all happen
+        here.  Returns ``None`` when a noisy
         observer refuses its view — a *noisy observer* can transiently
         see a bivalent-looking blob that the true configuration is not;
         its refusal means "I stay this cycle", not global impossibility
@@ -460,6 +499,8 @@ class Simulation:
                 self.round_index,
                 self._byz_rng,
             )
+        if self._global_look and robot.robot_id not in self.mirrored:
+            return self._snap_destination(self._look(robot.position), config)
         frame = robot.anchored_frame()
         local_config = self._local_configuration(robot)
         local_me = frame.to_local(robot.position)
@@ -499,6 +540,7 @@ class Simulation:
         robot.distance_travelled += robot.position.distance_to(end)
         robot.position = end
         self._config_cache = None
+        self._look_cache.clear()
         self._local_config_cache.clear()
         return True
 
@@ -746,7 +788,7 @@ class Simulation:
             return None
         return spot if dest.close_to(spot, self.effective_tol) else None
 
-    def _stalled_now(self, config: Configuration) -> bool:
+    def _stalled_now(self) -> bool:
         """Fixpoint check: no live robot is instructed to move.
 
         Because the algorithm is oblivious, a non-gathered all-stay
@@ -769,16 +811,14 @@ class Simulation:
         }
         try:
             for p in live_positions:
-                view = (
-                    config
-                    if self.visibility is None
-                    else Configuration(
+                if self.visibility is None:
+                    dest = self._look(p)
+                else:
+                    view = Configuration(
                         self._visible_points(p), self.effective_tol
                     )
-                )
-                if not self.algorithm.compute(view, p).close_to(
-                    p, self.effective_tol
-                ):
+                    dest = self.algorithm.compute(view, p)
+                if not dest.close_to(p, self.effective_tol):
                     return False
         except GatheringError:
             return False
@@ -809,7 +849,7 @@ class Simulation:
             if cls is ConfigClass.BIVALENT and self.halt_on_bivalent:
                 verdict = Verdict.IMPOSSIBLE
                 break
-            if self._stalled_now(config):
+            if self._stalled_now():
                 verdict = Verdict.STALLED
                 break
             try:

@@ -7,7 +7,7 @@ two backends agree to tolerance but not necessarily to the bit, so a
 memo warmed under one backend leaking into a run under the other would
 silently break bit-reproducibility — exactly the situation of
 ``repro check --backend both`` replaying one shared trace, or a live
-batched-engine config cache spanning a ``REPRO_BACKEND`` flip.
+engine's configuration cache spanning a ``REPRO_BACKEND`` flip.
 """
 
 import json

@@ -52,6 +52,18 @@ class TestScenario:
         label = s.label()
         assert "random" in label and "n=8" in label and "f=3" in label
 
+    def test_label_names_non_default_frames(self, tmp_path):
+        default = Scenario(workload="random", n=8, f=3)
+        private = Scenario(workload="random", n=8, f=3, frames="random")
+        assert "frames" not in default.label()
+        assert private.label() == default.label() + "/frames=random"
+        # The failure archive is keyed by the label: the two runs of one
+        # seed land in two files.
+        never = lambda result: True  # noqa: E731 - archive every seed
+        for scenario in (default, private):
+            run_batch(scenario, [0], archive_dir=str(tmp_path), archive_if=never)
+        assert len(list(tmp_path.iterdir())) == 2
+
     def test_run_scenario_deterministic(self):
         s = Scenario(workload="asymmetric", n=6, f=2, max_rounds=3000)
         r1 = run_scenario(s, seed=4)

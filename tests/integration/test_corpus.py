@@ -10,6 +10,11 @@ Two guarantees are pinned end to end:
 * a **fresh archive** produced by ``run_batch`` failure archiving goes
   through the same loop: load, replay on both backends, verify
   invariants offline.
+
+Known defects live in ``tests/corpus/known-defects/``, outside the
+corpus glob: their traces replay bit-identically on the backend that
+recorded them, and the lemma check they break is a strict xfail, so a
+fix flips the test and the entry moves into the corpus proper.
 """
 
 import glob
@@ -17,13 +22,19 @@ import os
 
 import pytest
 
-from repro.analysis import verify_trace
+from repro.analysis import InvariantViolation, verify_trace
 from repro.experiments.runner import Scenario, run_batch
 from repro.geometry import kernels
 from repro.sim.replay import load_trace, replay_trace
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
+#: linear-interval, n = 8, f = 7, random scheduler, random crashes,
+#: random-stop, seed 114341012: the run gathers, but one round moves a
+#: QR configuration to class A, which the lemma checkers forbid.
+QR_TO_A = os.path.join(
+    CORPUS_DIR, "known-defects", "linear-interval-qr-to-a.json"
+)
 
 
 @pytest.mark.parametrize(
@@ -51,6 +62,22 @@ def test_committed_corpus_satisfies_invariants_offline(path):
         pytest.skip("async-engine trace: ATOM invariants do not apply")
     monitor = verify_trace(trace)
     assert monitor.rounds_checked == len(trace)
+
+
+def test_known_defect_replays_bit_identically():
+    trace = load_trace(QR_TO_A)
+    assert trace.meta.scenario["frames"] == "random"
+    report = replay_trace(trace, backend=trace.meta.backend, path=QR_TO_A)
+    assert report.ok, report.describe()
+
+
+@pytest.mark.xfail(
+    raises=InvariantViolation,
+    strict=True,
+    reason="known defect: illegal class transition QR -> A",
+)
+def test_known_defect_satisfies_invariants():
+    verify_trace(load_trace(QR_TO_A))
 
 
 def test_corpus_is_nonempty():

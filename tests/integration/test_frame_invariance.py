@@ -7,18 +7,42 @@ random orientation-preserving frames; these tests pin down that the
 *global* behaviour is frame-independent: identity-frame runs and
 random-frame runs of the same deterministic scenario produce the same
 trajectory up to numerical noise.
+
+The engine has two LOOK paths (see :mod:`repro.sim.engine`): with
+``frames="identity"`` it computes one destination per occupied point in
+the global frame, with ``frames="random"`` every robot runs its own
+private-frame LOOK.  The scenario matrix below crosses schedulers x
+movement models x crash adversaries, so each RNG substream (scheduling,
+movement, crashes) is exercised alone and together, and asserts the two
+paths agree seed for seed: same verdict after the same rounds, same
+crashes and classification sequence, final positions within
+``POSITION_TOL``.
 """
 
 import pytest
 
 from repro.algorithms import WaitFreeGather
 from repro.core import Configuration, classify, wait_free_gather
-from repro.geometry import Point, random_frame
+from repro.experiments.runner import Scenario, run_scenario
+from repro.geometry import Point, kernels, random_frame
 from repro.sim import FullySynchronous, RigidMovement, Simulation
 from repro.workloads import generate
 
 import random
 
+
+POSITION_TOL = 1e-6
+
+SCHEDULERS = ["fsync", "round-robin", "random"]
+MOVEMENTS = ["rigid", "adversarial-stop", "random-stop", "collusive-stop"]
+CRASHES = ["none", "random", "after-move", "elected"]
+
+MATRIX = [
+    (scheduler, movement, crash)
+    for scheduler in SCHEDULERS
+    for movement in MOVEMENTS
+    for crash in CRASHES
+]
 
 WORKLOADS = ["asymmetric", "multiple", "linear-unique", "regular-polygon",
              "linear-interval", "qr-occupied-center"]
@@ -95,3 +119,79 @@ class TestWholeRunEquivalence:
         # Both are still legal side-steps: distance to the target kept.
         assert abs(d.norm() - 3.0) < 1e-9
         assert abs(d_mirror.norm() - 3.0) < 1e-9
+
+
+def assert_equivalent(private, global_):
+    assert global_.verdict == private.verdict
+    assert global_.rounds == private.rounds
+    assert global_.live_ids == private.live_ids
+    assert global_.crashed_ids == private.crashed_ids
+    assert global_.classes_seen == private.classes_seen
+    assert global_.initial_class == private.initial_class
+    assert set(global_.final_positions) == set(private.final_positions)
+    for rid, p in private.final_positions.items():
+        q = global_.final_positions[rid]
+        assert abs(p.x - q.x) <= POSITION_TOL
+        assert abs(p.y - q.y) <= POSITION_TOL
+    if private.gathering_point is None:
+        assert global_.gathering_point is None
+    else:
+        assert global_.gathering_point is not None
+        assert (
+            private.gathering_point.distance_to(global_.gathering_point)
+            <= POSITION_TOL
+        )
+    assert global_.total_distance == pytest.approx(
+        private.total_distance, abs=1e-6, rel=1e-9
+    )
+
+
+def assert_look_paths_agree(scenario, seeds):
+    private = Scenario(**{**scenario.to_dict(), "frames": "random"})
+    for seed in seeds:
+        assert_equivalent(
+            run_scenario(private, seed), run_scenario(scenario, seed)
+        )
+
+
+@pytest.mark.parametrize("scheduler,movement,crash", MATRIX)
+def test_matrix_cell_look_paths_agree(scheduler, movement, crash):
+    scenario = Scenario(
+        workload="random",
+        n=7,
+        f=0 if crash == "none" else 2,
+        scheduler=scheduler,
+        crashes=crash,
+        movement=movement,
+        max_rounds=2_000,
+    )
+    assert_look_paths_agree(scenario, [0, 1])
+
+
+@pytest.mark.skipif(
+    "numpy" not in kernels.available_backends(),
+    reason="NumPy not importable in this environment",
+)
+@pytest.mark.parametrize(
+    "workload,n",
+    [
+        ("random", 10),
+        ("asymmetric", 12),
+        ("multiple", 11),
+        ("regular-polygon", 12),
+        ("linear-interval", 16),
+    ],
+)
+def test_numpy_backend_workloads_look_paths_agree(workload, n):
+    """Same comparison with the numpy kernels active on both paths."""
+    scenario = Scenario(
+        workload=workload,
+        n=n,
+        f=1,
+        scheduler="random",
+        crashes="random",
+        movement="adversarial-stop",
+        max_rounds=2_000,
+    )
+    with kernels.backend("numpy"):
+        assert_look_paths_agree(scenario, [0, 1, 2])

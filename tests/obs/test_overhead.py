@@ -31,18 +31,6 @@ ASYNC_SMALL = Scenario(
     max_rounds=2_000,
     engine="async",
 )
-BATCHED_SMALL = Scenario(
-    workload="asymmetric",
-    n=6,
-    f=1,
-    scheduler="round-robin",
-    crashes="after-move",
-    movement="rigid",
-    max_rounds=2_000,
-    engine="batched",
-)
-
-
 def _count_event_builds(monkeypatch):
     calls = {"n": 0}
     original = RoundEvent.from_record.__func__
@@ -121,53 +109,3 @@ class TestNoAllocationWhenDisabled:
         obs.enable()
         result = run_scenario(ASYNC_SMALL, 3)
         assert calls["n"] == result.rounds
-
-
-class TestBatchedEngineOverhead:
-    """The batched round loop honors the same zero-overhead contract.
-
-    It additionally never builds per-round :class:`RoundEvent` objects
-    even when enabled — per-sim event streams would defeat the point of
-    batching; round-level visibility comes from metrics and spans.
-    """
-
-    def _numpy_or_skip(self):
-        import pytest
-
-        from repro.geometry import kernels
-
-        if "numpy" not in kernels.available_backends():
-            pytest.skip("NumPy not importable in this environment")
-
-    def test_disabled_builds_no_events(self, monkeypatch):
-        self._numpy_or_skip()
-        calls = _count_event_builds(monkeypatch)
-        result = run_scenario(BATCHED_SMALL, 3)
-        assert result.rounds > 0
-        assert calls["n"] == 0
-
-    def test_disabled_builds_no_spans(self, monkeypatch):
-        self._numpy_or_skip()
-        calls = _count_span_builds(monkeypatch)
-        result = run_scenario(BATCHED_SMALL, 3)
-        assert result.rounds > 0
-        assert calls["n"] == 0
-
-    def test_enabled_builds_spans_but_no_events(self, monkeypatch):
-        self._numpy_or_skip()
-        events = _count_event_builds(monkeypatch)
-        spans = _count_span_builds(monkeypatch)
-        obs.enable()
-        result = run_scenario(BATCHED_SMALL, 3)
-        assert result.rounds > 0
-        assert events["n"] == 0
-        assert spans["n"] >= 2  # one batch_run + one per executed round
-
-    def test_spans_vetoed_but_obs_on_builds_no_spans(self, monkeypatch):
-        self._numpy_or_skip()
-        calls = _count_span_builds(monkeypatch)
-        monkeypatch.setattr(obs.tracer, "active", False)
-        obs.enable()
-        result = run_scenario(BATCHED_SMALL, 3)
-        assert result.rounds > 0
-        assert calls["n"] == 0

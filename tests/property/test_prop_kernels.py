@@ -22,7 +22,12 @@ import pytest
 from repro.core.classification import classify
 from repro.core.configuration import Configuration
 from repro.core.election import elect, election_key
-from repro.core.safe_points import all_max_ray_loads, max_ray_load, safe_points
+from repro.core.safe_points import (
+    _max_ray_loads_python,
+    all_max_ray_loads,
+    max_ray_load,
+    safe_points,
+)
 from repro.core.views import symmetry, view_table
 from repro.geometry import DEFAULT_TOLERANCE, geometric_median, kernels
 from repro.workloads import generate
@@ -165,3 +170,25 @@ def test_full_simulation_verdicts_agree(scheduler):
     with kernels.backend("numpy"):
         result_np = run_scenario(scenario, seed=3)
     assert result_py.verdict == result_np.verdict
+
+
+@pytest.mark.parametrize(
+    "workload,n,seed",
+    [
+        ("random", 9, 1),
+        ("asymmetric", 16, 2),
+        ("multiple", 8, 3),
+        ("regular-polygon", 12, 1),
+        ("unsafe-ray", 16, 2),
+        ("near-bivalent", 8, 1),
+    ],
+)
+def test_python_bulk_ray_loads_matches_reference(workload, n, seed):
+    """The cached python bulk path == per-center ``max_ray_load``."""
+    config = Configuration(generate(workload, n, seed))
+    bulk = _max_ray_loads_python(config)
+    reference = [
+        max_ray_load(Configuration(config.points), p)
+        for p in config.support
+    ]
+    assert bulk == reference

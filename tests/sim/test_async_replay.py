@@ -12,7 +12,6 @@ import pytest
 from repro.experiments.runner import Scenario, build_simulation, run_scenario
 from repro.geometry import kernels
 from repro.sim import Trace
-from repro.sim.async_engine import AsyncSimulation
 from repro.sim.replay import (
     compare_traces,
     differential_check,
@@ -45,12 +44,18 @@ def recorded_trace(scenario=ASYNC_SMALL, seed=3) -> Trace:
 class TestEngineDispatch:
     def test_async_scenario_builds_async_engine(self):
         sim = build_simulation(ASYNC_SMALL, 3)
-        assert isinstance(sim, AsyncSimulation)
-        assert sim.max_ticks == ASYNC_SMALL.max_rounds
+        assert sim.activation.phased
+        assert sim.max_rounds == ASYNC_SMALL.max_rounds
+        assert sim.scheduler.bound == 64
 
     def test_unknown_engine_rejected(self):
         bad = Scenario(workload="random", n=4, engine="warp")
         with pytest.raises(ValueError, match="warp"):
+            build_simulation(bad, 0)
+
+    def test_only_atom_and_async_engines(self):
+        bad = Scenario(workload="random", n=4, engine="batched")
+        with pytest.raises(ValueError, match="batched"):
             build_simulation(bad, 0)
 
     def test_engine_field_round_trips_through_scenario_dict(self):

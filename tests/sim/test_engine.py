@@ -5,9 +5,11 @@ import pytest
 from repro.algorithms import CentroidConvergence, SequentialGather, WaitFreeGather
 from repro.core import ConfigClass
 from repro.geometry import Point
+from repro.core import Configuration
 from repro.sim import (
     CrashAtRounds,
     FullySynchronous,
+    PhasedActivation,
     RoundRobin,
     Simulation,
     Verdict,
@@ -176,3 +178,95 @@ class TestTrace:
             WaitFreeGather(), ASYM, frames="identity", seed=1
         ).run()
         assert result.gathered
+
+
+class CountingGather(WaitFreeGather):
+    """WAIT-FREE-GATHER that records every LOOK it is asked to serve."""
+
+    def __init__(self):
+        self.looks = []
+
+    def compute(self, config, me):
+        self.looks.append((config.points, me))
+        return super().compute(config, me)
+
+
+class Scripted:
+    """Scheduler activating a fixed robot set per round."""
+
+    name = "scripted"
+
+    def __init__(self, rounds):
+        self.rounds = rounds
+
+    def select(self, round_index, live_ids, rng):
+        return set(self.rounds[round_index]) & set(live_ids)
+
+
+#: Seven robots on four occupied points (multiplicities 3, 2, 1, 1).
+STACKED = (
+    [Point(0, 0)] * 3 + [Point(4, 0)] * 2 + [Point(1.5, 3.0), Point(3.0, 2.2)]
+)
+
+
+class TestGlobalLook:
+    def test_one_compute_per_occupied_point_per_round(self):
+        algorithm = CountingGather()
+        sim = Simulation(
+            algorithm, STACKED, scheduler=FullySynchronous(), seed=1
+        )
+        before = sim.configuration()
+        record = sim.step()
+        assert len(before.support) == 4
+        assert sorted(me for _, me in algorithm.looks) == sorted(before.support)
+        # Co-located robots share one destination.
+        by_point = {}
+        for rid, dest in record.destinations.items():
+            by_point.setdefault(before.locate(STACKED[rid]), set()).add(dest)
+        assert all(len(dests) == 1 for dests in by_point.values())
+        # Everyone moved onto the multiplicity point: one LOOK serves all.
+        algorithm.looks.clear()
+        sim.step()
+        assert len(algorithm.looks) == 1
+        # Nobody moved, so the snapshot and its LOOKs are reused.
+        algorithm.looks.clear()
+        sim.step()
+        assert algorithm.looks == []
+
+    def test_private_frames_compute_per_robot(self):
+        algorithm = CountingGather()
+        sim = Simulation(
+            algorithm, STACKED, scheduler=FullySynchronous(), frames="random",
+            seed=1,
+        )
+        sim.step()
+        assert len(algorithm.looks) == len(STACKED)
+
+    def test_stall_check_shares_the_round_looks(self):
+        algorithm = CountingGather()
+        sim = Simulation(
+            algorithm, STACKED, scheduler=FullySynchronous(), seed=1
+        )
+        assert not sim._stalled_now()
+        computed = len(algorithm.looks)
+        sim.step()
+        assert len(algorithm.looks) == len(Configuration(STACKED).support)
+        assert computed >= 1
+
+    def test_phased_look_sees_same_tick_move(self):
+        algorithm = CountingGather()
+        sim = Simulation(
+            algorithm,
+            ASYM,
+            scheduler=Scripted([{0}, {0, 1}]),
+            activation=PhasedActivation(),
+            seed=1,
+        )
+        sim.step()  # robot 0 LOOKs
+        sim.step()  # robot 0 MOVEs, then robot 1 LOOKs
+        moved = sim.positions()[0]
+        assert moved != ASYM[0]
+        (first_config, _), (second_config, me) = algorithm.looks
+        assert me == ASYM[1]
+        assert ASYM[0] in first_config and ASYM[0] not in second_config
+        assert second_config.count(moved) == first_config.count(moved) + 1

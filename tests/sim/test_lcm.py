@@ -14,19 +14,37 @@ import pytest
 from repro.algorithms import WaitFreeGather
 from repro.geometry import DEFAULT_TOLERANCE, Point
 from repro.sim import (
-    AsyncSimulation,
     AtomicActivation,
     CollusiveStop,
+    CrashAtRounds,
     FullySynchronous,
     PendingMove,
     PerRobotSpeed,
     PhasedActivation,
     PoissonScheduler,
+    RandomStop,
+    RandomSubset,
+    RoundRobin,
     Simulation,
     component_rng,
 )
+from repro.workloads import generate
 
 ASYM = [Point(0, 0), Point(5, 0.3), Point(2.1, 4.4), Point(1.2, 1.9), Point(4.0, 3.1)]
+
+
+def phased(algorithm, positions, max_rounds=100_000, **kwargs):
+    """The engine under ASYNC/CORDA activation, with the fairness bound
+    of 64 activations that ``engine="async"`` scenarios use (every cycle
+    needs two activations)."""
+    return Simulation(
+        algorithm,
+        positions,
+        activation=PhasedActivation(),
+        fairness_bound=64,
+        max_rounds=max_rounds,
+        **kwargs,
+    )
 
 
 class LeftOfLeftmost:
@@ -75,29 +93,14 @@ class TestActivationModels:
     def test_simulation_defaults_to_atom(self):
         sim = Simulation(WaitFreeGather(), ASYM, seed=1)
         assert sim.activation.name == "atom"
-        assert AsyncSimulation(WaitFreeGather(), ASYM, seed=1).activation.name == "async"
-
-    def test_explicit_phased_activation_equals_async_wrapper(self):
-        """AsyncSimulation is pure sugar over activation=PhasedActivation."""
-        direct = Simulation(
-            WaitFreeGather(),
-            ASYM,
-            activation=PhasedActivation(),
-            fairness_bound=64,
-            max_rounds=100_000,
-            seed=7,
-        ).run()
-        wrapped = AsyncSimulation(WaitFreeGather(), ASYM, seed=7).run()
-        assert direct.verdict == wrapped.verdict
-        assert direct.rounds == wrapped.rounds
-        assert direct.final_positions == wrapped.final_positions
+        assert phased(WaitFreeGather(), ASYM, seed=1).activation.name == "async"
 
 
 class TestAsyncCollusionRegression:
     def test_collusive_stop_stacks_async_robots(self):
         """The satellite bug: CollusiveStop must collude under ASYNC."""
         movement = CollusiveStop(0.2)
-        sim = AsyncSimulation(
+        sim = phased(
             LeftOfLeftmost(),
             [Point(1.0, 0.0), Point(2.0, 0.0), Point(3.0, 0.0)],
             scheduler=FullySynchronous(),
@@ -106,7 +109,8 @@ class TestAsyncCollusionRegression:
             seed=0,
         )
         sim.step()  # all robots LOOK: common destination (0, 0)
-        assert {p.destination for p in sim.pending.values()} == {Point(0.0, 0.0)}
+        pending = sim.activation.pending
+        assert {p.destination for p in pending.values()} == {Point(0.0, 0.0)}
         sim.step()  # all robots MOVE: the adversary stacks them
         stop = Point(0.8, 0.0)  # most-advanced mover's delta-stop
         assert set(sim.positions().values()) == {stop}
@@ -126,14 +130,14 @@ class TestAsyncCollusionRegression:
     def test_async_collusion_differs_from_rigid(self):
         """Before the fix both runs were identical (collusion dropped)."""
         def final(movement):
-            sim = AsyncSimulation(
+            sim = phased(
                 LeftOfLeftmost(),
                 [Point(1.0, 0.0), Point(2.0, 0.0), Point(3.0, 0.0)],
                 scheduler=FullySynchronous(),
                 movement=movement,
                 frames="identity",
                 seed=0,
-                max_ticks=2,
+                max_rounds=2,
             )
             sim.run()
             return set(sim.positions().values())
@@ -173,10 +177,10 @@ class TestPerRobotSpeed:
             WaitFreeGather(), ASYM, movement=movement, seed=3, max_rounds=100_000
         ).run()
         assert atom.gathered
-        phased = AsyncSimulation(
+        result = phased(
             WaitFreeGather(), ASYM, movement=PerRobotSpeed((1.0, 0.25, 0.05)), seed=3
         ).run()
-        assert phased.gathered
+        assert result.gathered
 
 
 class TestPoissonScheduler:
@@ -209,35 +213,122 @@ class TestPoissonScheduler:
             max_rounds=100_000,
         ).run()
         assert atom.gathered
-        phased = AsyncSimulation(
+        result = phased(
             WaitFreeGather(), ASYM, scheduler=PoissonScheduler(0.5), seed=5
         ).run()
-        assert phased.gathered
+        assert result.gathered
 
 
 class TestUnifiedPredicates:
     def test_phased_gathered_uses_effective_view(self):
         """The termination predicate is shared: the async side now judges
         stability through correct_ids + the engine view, like ATOM."""
-        sim = AsyncSimulation(WaitFreeGather(), ASYM, seed=1)
+        sim = phased(WaitFreeGather(), ASYM, seed=1)
         result = sim.run()
         assert result.gathered
         assert result.gathering_point is not None
 
     def test_phased_stall_guarded_by_pending(self):
         """A half-finished cycle is never reported as a stalled fixpoint."""
-        sim = AsyncSimulation(WaitFreeGather(), ASYM, seed=1)
+        sim = phased(WaitFreeGather(), ASYM, seed=1)
         sim.step()  # everyone holds a pending move now
-        assert sim.pending
-        assert not sim._stalled_now(sim.configuration())
+        assert sim.activation.pending
+        assert not sim._stalled_now()
 
     def test_limited_visibility_threads_through_phased_look(self):
         """A radius that disconnects the team keeps it apart under ASYNC."""
         far = [Point(0.0, 0.0), Point(0.5, 0.0), Point(100.0, 0.0), Point(100.5, 0.0)]
-        sim = AsyncSimulation(
-            WaitFreeGather(), far, seed=2, visibility=5.0, max_ticks=2_000
+        sim = phased(
+            WaitFreeGather(), far, seed=2, visibility=5.0, max_rounds=2_000
         )
         result = sim.run()
         assert not result.gathered
         xs = sorted(p.x for p in sim.positions().values())
         assert xs[1] < 50.0 < xs[2]  # two clusters never merged
+
+
+class TestPhasedConstruction:
+    def test_needs_robots(self):
+        with pytest.raises(ValueError):
+            phased(WaitFreeGather(), [])
+
+    def test_frames_validated(self):
+        with pytest.raises(ValueError):
+            phased(WaitFreeGather(), ASYM, frames="mirror")
+
+    def test_deterministic(self):
+        r1 = phased(WaitFreeGather(), ASYM, seed=5).run()
+        r2 = phased(WaitFreeGather(), ASYM, seed=5).run()
+        assert r1.rounds == r2.rounds
+        assert r1.final_positions == r2.final_positions
+
+
+class TestPhaseSemantics:
+    def test_look_then_move_takes_two_activations(self):
+        sim = phased(WaitFreeGather(), ASYM, seed=1)
+        before = sim.positions()
+        sim.step()  # every robot LOOKs (pending move, no displacement)
+        assert sim.positions() == before
+        assert len(sim.activation.pending) == len(ASYM)
+        sim.step()  # every robot MOVEs
+        assert sim.positions() != before
+        assert not sim.activation.pending
+
+    def test_crash_cancels_pending_move(self):
+        sim = phased(
+            WaitFreeGather(),
+            ASYM,
+            crash_adversary=CrashAtRounds({0: 1}),
+            seed=2,
+        )
+        sim.step()  # robot 0 looked
+        assert 0 in sim.activation.pending
+        sim.step()  # robot 0 crashes before moving
+        assert 0 not in sim.activation.pending
+        assert 0 in [r.robot_id for r in sim.robots if r.crashed]
+
+    def test_stale_moves_counted(self):
+        # Round-robin: by the time a robot moves, everyone else acted.
+        sim = phased(
+            WaitFreeGather(), ASYM, scheduler=RoundRobin(), seed=3,
+            max_rounds=5_000,
+        )
+        result = sim.run()
+        assert result.gathered
+        assert sim.stale_moves > 0
+
+
+class TestPhasedOutcomes:
+    def test_gathers_fault_free(self):
+        result = phased(WaitFreeGather(), ASYM, seed=1).run()
+        assert result.gathered
+
+    def test_gathers_with_crashes_and_interruptions(self):
+        for seed in range(3):
+            sim = phased(
+                WaitFreeGather(),
+                generate("random", 7, seed),
+                scheduler=RandomSubset(0.4),
+                crash_adversary=CrashAtRounds({1: 2, 4: 10}),
+                movement=RandomStop(0.05),
+                seed=seed,
+                max_rounds=50_000,
+            )
+            result = sim.run()
+            assert result.gathered, f"seed {seed}: {result.verdict}"
+
+    def test_bivalent_detected(self):
+        biv = [Point(0, 0)] * 2 + [Point(3, 3)] * 2
+        result = phased(WaitFreeGather(), biv, seed=0).run()
+        assert result.verdict == "impossible"
+
+    def test_gathered_requires_no_divergent_pending_move(self):
+        # Manufacture: all robots co-located but one holds a stale move
+        # elsewhere; the engine must not declare victory.
+        sim = phased(WaitFreeGather(), ASYM, seed=1)
+        for robot in sim.robots:
+            robot.position = Point(1.0, 1.0)
+        sim.activation.pending[0] = PendingMove(Point(9.0, 9.0), 0)
+        assert sim._gathered_now() is None
+        del sim.activation.pending[0]
+        assert sim._gathered_now() is not None

@@ -15,7 +15,7 @@ from repro.bench import (
 from repro.geometry import kernels
 
 
-def _doc(micro_s=0.010, round_s=0.100, batch_seed_s=0.001, lcm_cycle_s=0.050,
+def _doc(micro_s=0.010, round_s=0.100, lcm_cycle_s=0.050,
          serve_warm_s=0.001, generated_at="2026-01-01T00:00:00"):
     """A minimal one-key bench document with controllable timings."""
     return {
@@ -28,12 +28,6 @@ def _doc(micro_s=0.010, round_s=0.100, batch_seed_s=0.001, lcm_cycle_s=0.050,
         "round_throughput": [
             {"backend": "python", "n": 16, "round_s": round_s,
              "robots_per_s": 16 / round_s},
-        ],
-        "batch_round_throughput": [
-            {"backend": "numpy", "n": 16, "n_sims": 256,
-             "round_s": batch_seed_s * 256,
-             "per_seed_round_s": batch_seed_s,
-             "seed_rounds_per_s": 1.0 / batch_seed_s},
         ],
         "lcm_round_throughput": [
             {"activation": "async", "backend": "python", "n": 16,
@@ -137,13 +131,13 @@ class TestBenchDocument:
         history = _history(_doc())
         regressions = check_regressions(
             history,
-            _doc(micro_s=0.050, round_s=0.500, batch_seed_s=0.005,
-                 lcm_cycle_s=0.250, serve_warm_s=0.005),
+            _doc(micro_s=0.050, round_s=0.500, lcm_cycle_s=0.250,
+                 serve_warm_s=0.005),
             threshold=0.25,
         )
         assert {r["metric"] for r in regressions} == {
-            "micro", "round_throughput", "batch_round_throughput",
-            "lcm_round_throughput", "serve_request_latency",
+            "micro", "round_throughput", "lcm_round_throughput",
+            "serve_request_latency",
         }
         lcm = next(
             r for r in regressions if r["metric"] == "lcm_round_throughput"
@@ -155,12 +149,6 @@ class TestBenchDocument:
         )
         assert serve["key"] == "run/6"
         assert serve["ratio"] == pytest.approx(5.0)
-        batched = next(
-            r for r in regressions
-            if r["metric"] == "batch_round_throughput"
-        )
-        assert batched["key"] == "numpy/16"
-        assert batched["ratio"] == pytest.approx(5.0)
         micro = next(r for r in regressions if r["metric"] == "micro")
         assert micro["key"] == "safe_points/python/16"
         assert micro["ratio"] == pytest.approx(5.0)
@@ -219,33 +207,9 @@ class TestBenchDocument:
             by_metric = {
                 entry["metric"]: entry for entry in document["speedups"]
             }
-            assert set(by_metric) == {
-                "round_throughput", "batch_round_throughput"
-            }
+            assert set(by_metric) == {"round_throughput"}
             for entry in by_metric.values():
                 assert entry["n"] == 16
                 assert entry["speedup"] > 0.0
-            batched = document["batch_round_throughput"]
-            assert len(batched) == 1
-            assert batched[0]["per_seed_round_s"] == pytest.approx(
-                batched[0]["round_s"] / batched[0]["n_sims"]
-            )
         else:
             assert document["speedups"] == []
-            assert document["batch_round_throughput"] == []
-
-    def test_batched_gate_normalizes_per_seed(self):
-        # Retuning n_sims must not dodge the gate: the per-seed time is
-        # what is gated, so the same per_seed_round_s under a different
-        # n_sims passes while a genuinely slower per-seed time fails.
-        history = _history(_doc(batch_seed_s=0.001))
-        retuned = _doc(batch_seed_s=0.001)
-        retuned["batch_round_throughput"][0].update(
-            n_sims=64, round_s=0.064
-        )
-        assert check_regressions(history, retuned) == []
-        slower = _doc(batch_seed_s=0.010)
-        regressions = check_regressions(history, slower)
-        assert any(
-            r["metric"] == "batch_round_throughput" for r in regressions
-        )
