@@ -43,17 +43,17 @@ Three subcommands:
     port and exits.
 
 ``stats``
-    Summarize a trace JSON or an observability JSONL event stream as
+    Summarize a ``repro-telemetry-v1`` stream or a trace JSON as
     tables: per-class round counts, crash/move totals, spread
-    trajectory.  A ``repro-log-v1`` structured log gets per-level and
-    per-event record counts plus the warn-once keys that fired.
+    trajectory and run verdicts from the round and run spans, plus
+    per-level and per-event counts and the warn-once keys that fired
+    from the log records.
 
 ``trace-export``
-    Convert a ``repro-spans-v1`` span stream — or, on a synthetic
-    timeline, an obs event stream or trace archive — to Chrome
-    trace-event JSON that Perfetto / ``chrome://tracing`` open
-    directly.  Multiple inputs merge onto one timeline, each on its
-    own track group.
+    Convert a ``repro-telemetry-v1`` stream — or, on a synthetic
+    per-round timeline, a trace archive — to Chrome trace-event JSON
+    that Perfetto / ``chrome://tracing`` open directly.  Multiple
+    inputs merge onto one timeline, each on its own track group.
 
 ``profile``
     Run one scenario with the observability layer on and print the
@@ -154,12 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="enable the observability layer (round events + "
                           "counters; prints a summary after the run)")
     sim.add_argument("--obs-jsonl", metavar="PATH", default=None,
-                     help="write the round-event stream as JSONL to PATH "
-                          "(implies --obs)")
-    sim.add_argument("--spans-jsonl", metavar="PATH", default=None,
-                     help="write the span trace (run/round/phase/kernel) "
-                          "as repro-spans-v1 JSONL to PATH (implies --obs; "
-                          "convert with 'repro trace-export')")
+                     help="write the run's repro-telemetry-v1 stream "
+                          "(run/round/phase/kernel spans, round events "
+                          "as round-span attrs, log records) to PATH "
+                          "(implies --obs; read it with 'repro stats' or "
+                          "'repro trace-export')")
 
     cls = sub.add_parser("classify", help="classify a generated workload")
     cls.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
@@ -427,12 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds an open breaker waits before "
                             "half-opening (default 10)")
     serve.add_argument("--access-log", metavar="PATH", default=None,
-                       help="append structured repro-log-v1 JSONL "
-                            "records (access log + warnings) to PATH")
+                       help="write structured log records (access log "
+                            "+ warnings) as a repro-telemetry-v1 stream "
+                            "to PATH, tailable while the daemon runs")
     serve.add_argument("--trace-jsonl", metavar="PATH", default=None,
                        help="record per-request span trees (request, "
                             "admission, cache, worker spans joined by "
-                            "request id) to a repro-spans-v1 file; "
+                            "request id) to a repro-telemetry-v1 file; "
                             "convert with 'repro trace-export'")
     serve.add_argument("--selftest", action="store_true",
                        help="start a daemon on an ephemeral port, "
@@ -471,24 +471,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser(
         "trace-export",
-        help="convert spans / events / traces to Perfetto JSON",
+        help="convert telemetry streams / traces to Perfetto JSON",
         description=(
-            "Converts a repro-spans-v1 span stream to the Chrome "
-            "trace-event format (open the output in Perfetto or "
-            "chrome://tracing).  An obs event stream or a trace archive "
-            "is accepted too: their rounds have no recorded wall time, "
-            "so they are laid out on a synthetic timeline (one fixed "
-            "slot per round) that still shows class transitions, "
-            "crashes and movement at a glance.  Multiple inputs merge "
+            "Converts the spans of a repro-telemetry-v1 stream to the "
+            "Chrome trace-event format (open the output in Perfetto or "
+            "chrome://tracing).  A trace archive is accepted too: its "
+            "rounds have no recorded wall time, so they are laid out on "
+            "a synthetic timeline (one fixed slot per round) that still "
+            "shows class transitions, crashes and movement at a "
+            "glance.  Multiple inputs merge "
             "into one timeline, each on its own track group — e.g. a "
             "serve daemon's request spans next to a worker's run spans, "
             "joined by the request id in the span args."
         ),
     )
     export.add_argument("inputs", nargs="+", metavar="INPUT",
-                        help="repro-spans-v1 JSONL, repro-obs-v1 JSONL, or "
-                             "repro-trace-v2 trace JSON (repeatable; "
-                             "merged onto one timeline)")
+                        help="repro-telemetry-v1 JSONL or repro-trace-v2 "
+                             "trace JSON (repeatable; merged onto one "
+                             "timeline)")
     export.add_argument("--output", "-o", metavar="PATH", default=None,
                         help="output path (default: first INPUT with a "
                              ".perfetto.json suffix)")
@@ -499,15 +499,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser(
         "stats",
-        help="summarize a trace JSON or an obs JSONL event stream",
+        help="summarize a telemetry stream or a trace JSON",
         description=(
-            "Reads either an archived repro-trace-v2 trace (events are "
-            "derived from its records) or a repro-obs-v1 JSONL event "
-            "stream, and prints per-class round counts, crash/move "
-            "totals and the spread trajectory as tables."
+            "Reads either a repro-telemetry-v1 stream (round events "
+            "are its round-span attrs) or an archived repro-trace-v2 "
+            "trace (events are derived from its records), and prints "
+            "per-class round counts, crash/move totals and the spread "
+            "trajectory as tables; a stream's run spans add a verdict "
+            "table and its log records per-level and per-event counts."
         ),
     )
-    stats.add_argument("input", help="trace JSON or obs JSONL path")
+    stats.add_argument("input", help="telemetry JSONL or trace JSON path")
 
     prof = sub.add_parser(
         "profile",
@@ -538,15 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "available — the python backend bypasses the "
                            "kernels entirely, leaving the kernel table empty)")
     prof.add_argument("--obs-jsonl", metavar="PATH", default=None,
-                      help="also write the round-event stream to PATH")
-    prof.add_argument("--spans-jsonl", metavar="PATH", default=None,
-                      help="also write the span trace as repro-spans-v1 "
-                           "JSONL to PATH")
+                      help="also write the run's repro-telemetry-v1 "
+                           "stream to PATH")
     return parser
 
 
 def _scenario_meta(scenario: Scenario, seed: int, engine_seed: int) -> dict:
-    """The trace-v2 meta dict an obs JSONL header carries for joining."""
+    """The trace-v2 meta dict a telemetry header carries for joining."""
     return TraceMeta.for_run(
         scenario=scenario.to_dict(),
         seed=seed,
@@ -628,14 +628,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         engine=args.engine,
         visibility=args.visibility,
     )
-    want_obs = args.obs or bool(args.obs_jsonl) or bool(args.spans_jsonl)
+    want_obs = args.obs or bool(args.obs_jsonl)
     if want_obs:
         obs.metrics.reset()
         with obs.observability(
             jsonl=args.obs_jsonl,
-            spans_jsonl=args.spans_jsonl,
             meta=_scenario_meta(scenario, args.seed, args.seed)
-            if args.obs_jsonl or args.spans_jsonl
+            if args.obs_jsonl
             else None,
         ):
             result = run_scenario(
@@ -676,9 +675,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(table.render())
             print()
         if args.obs_jsonl:
-            print(f"event stream saved to {args.obs_jsonl}")
-        if args.spans_jsonl:
-            print(f"span trace saved to {args.spans_jsonl}")
+            print(f"telemetry saved to {args.obs_jsonl}")
     return 0 if result.gathered or result.verdict == "impossible" else 1
 
 
@@ -1182,129 +1179,37 @@ def _cmd_serve_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_log_stats(path: str, meta: dict, records: List[dict]) -> int:
-    """``repro stats`` on a ``repro-log-v1`` file: level/event counts
-    and the warn-once keys that fired."""
+def _ranked(counts: dict) -> List[Tuple[str, int]]:
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def _log_tables(records: List[dict]) -> List[Table]:
+    """Log records -> per-level and per-event counts, and the warn-once
+    keys that fired."""
     from .obs import summarize_log
+    from .obs.log import LEVELS
 
     summary = summarize_log(records)
-    print(f"{path}: structured log, {len(records)} records")
-    if meta:
-        source = meta.get("source")
-        if source:
-            print(f"meta       : source={source} "
-                  f"version={meta.get('version')}")
-    print()
-    levels = Table(
-        "log-levels", "records per level", ["level", "records"]
-    )
-    for name in ("debug", "info", "warning", "error"):
+    levels = Table("log-levels", "records per level", ["level", "records"])
+    for name in LEVELS + tuple(sorted(set(summary["levels"]) - set(LEVELS))):
         if name in summary["levels"]:
             levels.add_row(name, summary["levels"][name])
-    for name in sorted(summary["levels"]):
-        if name not in ("debug", "info", "warning", "error"):
-            levels.add_row(name, summary["levels"][name])
-    print(levels.render())
-    print()
-    events_table = Table(
-        "log-events", "records per event", ["event", "records"]
-    )
-    ranked = sorted(
-        summary["events"].items(), key=lambda kv: (-kv[1], kv[0])
-    )
-    for name, count in ranked:
-        events_table.add_row(name, count)
-    print(events_table.render())
+    events = Table("log-events", "records per event", ["event", "records"])
+    for name, count in _ranked(summary["events"]):
+        events.add_row(name, count)
+    tables = [levels, events]
     if summary["warn_once"]:
-        print()
-        warn_table = Table(
-            "log-warn-once",
-            "warn-once keys that fired",
-            ["key", "records"],
+        warn = Table(
+            "log-warn-once", "warn-once keys that fired", ["key", "records"]
         )
-        for name, count in sorted(
-            summary["warn_once"].items(), key=lambda kv: (-kv[1], kv[0])
-        ):
-            warn_table.add_row(name, count)
-        print(warn_table.render())
-    return 0
+        for name, count in _ranked(summary["warn_once"]):
+            warn.add_row(name, count)
+        tables.append(warn)
+    return tables
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    from .obs import RoundEvent, read_events, read_log, read_spans
-
-    # A repro-log-v1 structured log gets its own summary (levels,
-    # events, warn-once keys) — it carries no round events.
-    try:
-        log_meta, log_records = read_log(args.input)
-    except (ValueError, OSError):
-        pass
-    else:
-        return _cmd_log_stats(args.input, log_meta, log_records)
-
-    # An obs JSONL stream identifies itself by its header line; anything
-    # else must parse as a trace archive, whose records the same events
-    # are derived from.
-    try:
-        meta, events, run_ends = read_events(args.input)
-        source = "obs event stream"
-    except TraceFormatError:
-        # A real obs stream with a corrupted payload: report it as such
-        # rather than re-parsing the file as a trace archive and blaming
-        # the wrong format.
-        raise
-    except ValueError:
-        try:
-            _, spans = read_spans(args.input)
-        except TraceFormatError:
-            # A real spans stream with a corrupted line: blame the
-            # spans format, not the trace parse that would follow.
-            raise
-        except ValueError:
-            pass
-        else:
-            # A valid spans file handed to the wrong command: one
-            # structured line pointing at the right one, not a trace-
-            # parse failure blaming the wrong format.
-            raise TraceFormatError(
-                f"{args.input}: is a repro-spans-v1 span stream "
-                f"({len(spans)} spans), which carries no round events; "
-                f"convert it with 'repro trace-export' instead",
-                path=args.input,
-            )
-        from .sim.replay import load_trace
-
-        trace = load_trace(args.input)
-        engine = trace.meta.engine if trace.meta else "atom"
-        events = [
-            RoundEvent.from_record(record, engine=engine)
-            for record in trace.records
-        ]
-        meta = trace.meta.to_dict() if trace.meta else None
-        run_ends = []
-        source = "trace archive"
-
-    print(f"{args.input}: {source}, {len(events)} round events")
-    if meta:
-        scenario = meta.get("scenario") or {}
-        label = scenario.get("workload", "?")
-        print(
-            f"meta       : engine={meta.get('engine', 'atom')} "
-            f"workload={label} n={scenario.get('n', '?')} "
-            f"seed={meta.get('seed')} backend={meta.get('backend')}"
-        )
-    print()
-    if not events:
-        # A valid but empty stream: a run that was recorded with the
-        # obs layer off, or that ended before its first round.  Say so
-        # in one line instead of printing empty tables.
-        print(
-            "no round events recorded — the stream has a valid header "
-            "but no events (obs-disabled run, or it ended before the "
-            "first round)"
-        )
-        return 0
-
+def _round_tables(events: list) -> List[Table]:
+    """Round events -> per-class round counts and the run summary."""
     classes = Table(
         "stats-classes",
         "rounds per configuration class",
@@ -1315,8 +1220,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         counts[event.config_class] = counts.get(event.config_class, 0) + 1
     for name in sorted(counts):
         classes.add_row(name, counts[name], counts[name] / len(events))
-    print(classes.render())
-    print()
 
     summary = Table("stats-summary", "run summary", ["metric", "value"])
     summary.add_row("rounds", len(events))
@@ -1332,18 +1235,106 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "elected targets on safe points",
         sum(1 for e in elections if e.target_is_safe),
     )
-    for run_end in run_ends:
-        summary.add_row("verdict", str(run_end.get("verdict")))
-    print(summary.render())
+    return [classes, summary]
+
+
+def _cmd_stats(args: argparse.Namespace) -> int:
+    from .obs import RoundEvent, read_telemetry
+
+    runs: List[dict] = []
+    logs: List[dict] = []
+    try:
+        meta, records = read_telemetry(args.input)
+    except TraceFormatError:
+        # A real stream with a corrupted record: report it rather than
+        # re-parsing the file as a trace archive and blaming the wrong
+        # format.
+        raise
+    except ValueError:
+        from .sim.replay import load_trace
+
+        trace = load_trace(args.input)
+        engine = trace.meta.engine if trace.meta else "atom"
+        events = [
+            RoundEvent.from_record(record, engine=engine)
+            for record in trace.records
+        ]
+        meta = trace.meta.to_dict() if trace.meta else None
+        source = "trace archive"
+    else:
+        events = []
+        for record in records:
+            if record["type"] == "log":
+                logs.append(record)
+            elif record.get("kind") == "run":
+                runs.append(record.get("attrs") or {})
+            elif record.get("kind") == "round":
+                try:
+                    events.append(RoundEvent.from_dict(record["attrs"]))
+                except (KeyError, TypeError) as exc:
+                    raise TraceFormatError(
+                        f"{args.input}: round span {record.get('id')} "
+                        f"carries no round event ({exc!r})",
+                        path=args.input,
+                    ) from exc
+        source = "telemetry stream"
+
+    print(
+        f"{args.input}: {source}, {len(events)} round events, "
+        f"{len(logs)} log records"
+    )
+    if meta and "source" in meta:
+        print(f"meta       : source={meta['source']} "
+              f"version={meta.get('version')}")
+    elif meta:
+        scenario = meta.get("scenario") or {}
+        print(
+            f"meta       : engine={meta.get('engine', 'atom')} "
+            f"workload={scenario.get('workload', '?')} "
+            f"n={scenario.get('n', '?')} "
+            f"seed={meta.get('seed')} backend={meta.get('backend')}"
+        )
+    print()
+    if not events and not logs:
+        # A valid but empty stream: a run that was recorded with the
+        # obs layer off, or that ended before its first round.  Say so
+        # in one line instead of printing empty tables.
+        print(
+            "no round events recorded — the stream has a valid header "
+            "but no round spans (obs-disabled run, or it ended before "
+            "the first round)"
+        )
+        return 0
+
+    tables = _round_tables(events) if events else []
+    if runs:
+        run_table = Table(
+            "stats-runs",
+            "runs",
+            ["engine", "seed", "verdict", "rounds", "stale moves"],
+        )
+        for run in runs:
+            run_table.add_row(
+                run.get("engine"),
+                run.get("seed"),
+                run.get("verdict"),
+                run.get("rounds"),
+                run.get("stale_moves"),
+            )
+        tables.append(run_table)
+    if logs:
+        tables.extend(_log_tables(logs))
+    print("\n\n".join(table.render() for table in tables))
     return 0
 
 
-def _synthetic_round_events(rows: List[dict], pid: int, label: str) -> List[dict]:
-    """Round summaries -> Chrome trace events on a synthetic timeline.
+def _synthetic_round_events(trace, pid: int, label: str) -> List[dict]:
+    """A trace archive's rounds -> Chrome trace events on a synthetic
+    timeline.
 
-    Event streams and trace archives carry no wall-clock timing, so
-    each round gets one fixed 1 ms slot; what the export shows is the
-    *structure* — class transitions, crashes, movement — not latency.
+    A trace archive carries no wall-clock timing, so each round gets
+    one fixed 1 ms slot; what the export shows is the *structure* —
+    class transitions, crashes, movement — not latency.
     """
     slot_us = 1000.0
     events: List[dict] = [
@@ -1355,18 +1346,24 @@ def _synthetic_round_events(rows: List[dict], pid: int, label: str) -> List[dict
             "args": {"name": label},
         }
     ]
-    for i, row in enumerate(rows):
+    for i, record in enumerate(trace.records):
+        cls = record.config_class.value
         events.append(
             {
-                "name": f"round {row.get('round', i)} "
-                        f"[{row.get('config_class', '?')}]",
+                "name": f"round {record.round_index} [{cls}]",
                 "cat": "round",
                 "ph": "X",
                 "ts": i * slot_us,
                 "dur": slot_us,
                 "pid": pid,
                 "tid": 0,
-                "args": row,
+                "args": {
+                    "round": record.round_index,
+                    "config_class": cls,
+                    "moved": len(record.moved),
+                    "crashed": len(record.crashed_now),
+                    "active": len(record.active),
+                },
             }
         )
     return events
@@ -1375,68 +1372,36 @@ def _synthetic_round_events(rows: List[dict], pid: int, label: str) -> List[dict
 def _export_one_input(path: str, pid: int) -> Tuple[List[dict], str]:
     """One trace-export input -> (Chrome trace events, description).
 
-    A spans file keeps its recorded wall-clock timeline; an obs event
-    stream or trace archive gets the synthetic per-round layout.  The
-    ``pid`` labels this input's track group, so multiple inputs merged
-    into one file stay visually separate in Perfetto.
+    A telemetry stream keeps its recorded wall-clock timeline; a trace
+    archive gets the synthetic per-round layout.  The ``pid`` labels
+    this input's track group, so multiple inputs merged into one file
+    stay visually separate in Perfetto.
     """
-    from .obs import chrome_trace_events, read_events, read_spans
+    from .obs import chrome_trace_events, read_telemetry
 
     try:
-        meta, spans = read_spans(path)
-    except TraceFormatError:
-        raise
-    except ValueError:
-        spans = None
-
-    if spans is not None:
-        label = os.path.basename(path)
-        meta_block = meta or {}
-        scenario = meta_block.get("scenario") or {}
-        if scenario:
-            label = (
-                f"{scenario.get('workload', '?')} n={scenario.get('n', '?')} "
-                f"seed={meta_block.get('seed')}"
-            )
-        elif meta_block.get("source"):
-            label = str(meta_block["source"])
-        events = chrome_trace_events(spans, pid=pid, process_name=label)
-        return events, f"span stream ({len(spans)} spans)"
-
-    # Not a spans file: an obs event stream or a trace archive, both
-    # exported on the synthetic per-round timeline.
-    try:
-        _, round_events, _ = read_events(path)
-        rows = [
-            {
-                "round": e.round_index,
-                "config_class": e.config_class,
-                "moved": len(e.moved),
-                "crashed": len(e.crashed),
-                "support": e.support,
-                "spread": e.spread,
-            }
-            for e in round_events
-        ]
-        kind = f"obs event stream ({len(rows)} rounds)"
+        meta, records = read_telemetry(path)
     except TraceFormatError:
         raise
     except ValueError:
         from .sim.replay import load_trace
 
         trace = load_trace(path)
-        rows = [
-            {
-                "round": record.round_index,
-                "config_class": record.config_class.value,
-                "moved": len(record.moved),
-                "crashed": len(record.crashed_now),
-                "active": len(record.active),
-            }
-            for record in trace.records
-        ]
-        kind = f"trace archive ({len(rows)} rounds)"
-    return _synthetic_round_events(rows, pid, os.path.basename(path)), kind
+        events = _synthetic_round_events(trace, pid, os.path.basename(path))
+        return events, f"trace archive ({len(trace.records)} rounds)"
+
+    spans = [r for r in records if r["type"] == "span"]
+    meta = meta or {}
+    scenario = meta.get("scenario") or {}
+    if scenario:
+        label = (
+            f"{scenario.get('workload', '?')} n={scenario.get('n', '?')} "
+            f"seed={meta.get('seed')}"
+        )
+    else:
+        label = str(meta.get("source") or os.path.basename(path))
+    events = chrome_trace_events(spans, pid=pid, process_name=label)
+    return events, f"telemetry stream ({len(spans)} spans)"
 
 
 def _cmd_trace_export(args: argparse.Namespace) -> int:
@@ -1486,9 +1451,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     with kernels.backend(backend):
         with obs.observability(
             jsonl=args.obs_jsonl,
-            spans_jsonl=args.spans_jsonl,
             meta=_scenario_meta(scenario, args.seed, engine_seed)
-            if args.obs_jsonl or args.spans_jsonl
+            if args.obs_jsonl
             else None,
         ):
             start = time.perf_counter()
@@ -1505,9 +1469,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(table.render())
         print()
     if args.obs_jsonl:
-        print(f"event stream saved to {args.obs_jsonl}")
-    if args.spans_jsonl:
-        print(f"span trace saved to {args.spans_jsonl}")
+        print(f"telemetry saved to {args.obs_jsonl}")
     return 0
 
 

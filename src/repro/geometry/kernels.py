@@ -168,10 +168,9 @@ def _timed(fn):
     attribute read and a tail call — no timer, no allocation.  Enabled,
     each call is timed with ``perf_counter`` and recorded under the
     kernel's name and the active backend, feeding ``repro profile``,
-    the ``kernel_seconds`` latency histogram, any registered
-    ``on_kernel`` hooks, and — when span tracing is active — a leaf
-    ``kernel`` span attributed to whatever phase span was open when
-    the call ran (see :mod:`repro.obs.spans`).
+    the ``kernel_seconds`` latency histogram and a leaf ``kernel`` span
+    attributed to whatever phase span was open when the call ran (see
+    :mod:`repro.obs.spans`).
     """
     name = fn.__name__
 

@@ -1,43 +1,44 @@
-"""Observability: structured events, counters/timers, profiling hooks.
+"""Observability: one telemetry stream, a metrics registry, a log hub.
 
 A single process-wide toggle gates the whole subsystem.  When **off**
 (the default) nothing is allocated, recorded or dispatched: call sites
 guard on one attribute read (``state.enabled``), so the simulation hot
 loop pays a few nanoseconds per round and the kernels one branch per
 call.  When **on** (``REPRO_OBS=1`` in the environment, ``--obs`` on the
-CLI, or :func:`enable` / :func:`observability` in code) three signal
-streams light up:
+CLI, or :func:`enable` / :func:`observability` in code) the engine and
+kernels record into:
 
-events
-    Both engines emit one :class:`~repro.obs.events.RoundEvent` per
-    round/tick — the Section IV configuration class, multiplicity and
-    spread, the elected target and whether it was a safe point, and the
-    activated / crashed / moved sets.  Events flow to the registered
-    ``on_round`` hooks and to per-class round counters in
-    :data:`metrics`.
+spans
+    The span tracer (:mod:`repro.obs.spans`): run -> round -> phase
+    (look/compute/move) -> kernel time ranges with explicit
+    parent/child ids and monotonic timestamps, kept in a bounded ring.
+    Each round span carries that round's
+    :class:`~repro.obs.events.RoundEvent` — the Section IV
+    configuration class, multiplicity and spread, the elected target
+    and whether it was a safe point, and the activated / crashed /
+    moved sets — and each run span the run-end summary.
 
 metrics
     A process-wide registry of counters and running aggregates
-    (:mod:`repro.obs.metrics`).  The geometry kernels record per-kernel
-    call counts and wall time with the active backend label, the Weber
-    solver records Weiszfeld iteration counts and convergence residuals,
-    and the experiment runner records per-worker throughput.
+    (:mod:`repro.obs.metrics`): per-class round counts, run verdicts,
+    per-kernel call counts and wall time with the active backend label,
+    Weber solver iteration counts and residuals, and per-worker
+    throughput of the experiment runner.
 
-hooks
-    :func:`~repro.obs.hooks.on_round` / ``on_kernel`` / ``on_run_end``
-    registration (:mod:`repro.obs.hooks`), plus a JSONL sink
-    (:class:`~repro.obs.sink.JsonlSink`) whose header carries the same
-    meta block as a ``repro-trace-v2`` archive, so an event stream can
-    be joined to its trace by seed and scenario.
+logs
+    The structured log hub (:mod:`repro.obs.log`): leveled records with
+    warn-once dedup and rate limiting.
 
-spans
-    A span tracer (:mod:`repro.obs.spans`): run -> round -> phase
-    (look/compute/move) -> kernel time ranges with explicit
-    parent/child ids and monotonic timestamps, kept in a bounded ring
-    and optionally streamed as ``repro-spans-v1`` JSONL.  ``repro
-    trace-export`` converts any of it to the Chrome trace-event format
-    for Perfetto.  Tracing rides the same enabled guard (veto with
-    ``REPRO_SPANS=0``).
+Spans and log records reach files through one format,
+``repro-telemetry-v1`` (:mod:`repro.obs.stream`): one
+:class:`~repro.obs.stream.TelemetrySink` writes both record types and
+one :func:`~repro.obs.stream.read_telemetry` reads them back.  The
+header carries the same meta block as a ``repro-trace-v2`` archive, so
+a stream joins to its trace by seed and scenario.  ``repro stats``
+tabulates a stream and ``repro trace-export`` converts it to the Chrome
+trace-event format for Perfetto.  A sink that raises — span or log — is
+removed and reported once (:func:`~repro.obs.log.quarantine`); it never
+takes the simulation down.
 
 For sweep-scale runs, :mod:`repro.obs.aggregate` ships each worker's
 registry snapshot and span tail home inside the per-seed result payload
@@ -45,20 +46,20 @@ and merges them — counters, stats, kernel timers and the fixed-bucket
 histograms of :mod:`repro.obs.histogram` — into one ``sweep-metrics``
 document; :mod:`repro.obs.dashboard` renders the merge live.
 
-Layering: this package imports nothing from the rest of ``repro``, so
-the engines, kernels and runner can all import it without cycles.
-``RoundEvent.from_record`` defers its ``repro.core`` / ``repro.sim``
-imports to call time for the same reason.
+Layering: this package imports nothing from the rest of ``repro`` but
+:mod:`repro.resilience`, so the engine, kernels and runner can all
+import it without cycles.  ``RoundEvent.from_record`` defers its
+``repro.core`` / ``repro.sim`` imports to call time for the same reason.
 
 The toggle is exported to ``REPRO_OBS`` in the environment on
 :func:`enable`, mirroring the kernel-backend pinning of the experiment
 runner: worker subprocesses resolve the flag at import time, so a sweep
 profiled with ``--workers N`` instruments every worker.
 
-Instrumentation never changes results: events and metrics are derived
-from values the simulation already computed, and the CI ``obs`` job
-replays the committed corpus with ``REPRO_OBS=1`` to prove instrumented
-executions stay bit-identical to uninstrumented ones.
+Instrumentation never changes results: telemetry and metrics are
+derived from values the simulation already computed, and the CI ``obs``
+job replays the committed corpus with ``REPRO_OBS=1`` to prove
+instrumented executions stay bit-identical to uninstrumented ones.
 """
 
 from __future__ import annotations
@@ -74,49 +75,22 @@ from .aggregate import (
     write_sweep_metrics,
 )
 from .dashboard import SweepDashboard
-from .events import OBS_SCHEMA, RoundEvent
+from .events import RoundEvent
 from .histogram import Histogram
-from .hooks import (
-    clear_hooks,
-    emit_kernel,
-    emit_round,
-    emit_run_end,
-    on_kernel,
-    on_round,
-    on_run_end,
-    remove_hook,
-)
-from .log import (
-    LOG_SCHEMA,
-    LogJsonlSink,
-    StructuredLogger,
-    get_logger,
-    read_log,
-    summarize_log,
-)
+from .log import StructuredLogger, get_logger, summarize_log
 from .log import hub as log_hub
 from .metrics import Metrics, metrics
-from .sink import Collector, JsonlSink, read_events
-from .spans import (
-    SPANS_SCHEMA,
-    Span,
-    SpanJsonlSink,
-    Tracer,
-    chrome_trace_events,
-    read_spans,
-    tracer,
-)
+from .spans import Span, Tracer, chrome_trace_events, tracer
+from .stream import TELEMETRY_SCHEMA, TelemetrySink, read_telemetry
 
 __all__ = [
-    "OBS_SCHEMA",
-    "SPANS_SCHEMA",
+    "TELEMETRY_SCHEMA",
+    "TelemetrySink",
+    "read_telemetry",
     "SWEEP_METRICS_SCHEMA",
-    "LOG_SCHEMA",
     "StructuredLogger",
-    "LogJsonlSink",
     "get_logger",
     "log_hub",
-    "read_log",
     "summarize_log",
     "Aggregator",
     "SweepDashboard",
@@ -125,23 +99,10 @@ __all__ = [
     "Metrics",
     "metrics",
     "Histogram",
-    "Collector",
-    "JsonlSink",
-    "read_events",
     "Span",
     "Tracer",
     "tracer",
-    "SpanJsonlSink",
-    "read_spans",
     "chrome_trace_events",
-    "on_round",
-    "on_kernel",
-    "on_run_end",
-    "remove_hook",
-    "clear_hooks",
-    "emit_round",
-    "emit_kernel",
-    "emit_run_end",
     "state",
     "is_enabled",
     "enable",
@@ -202,25 +163,20 @@ def disable() -> None:
 def observability(
     jsonl: Optional[str] = None,
     meta: Optional[dict] = None,
-    spans_jsonl: Optional[str] = None,
 ) -> Iterator[Metrics]:
-    """Enable observability for a block, optionally sinking to JSONL.
+    """Enable observability for a block, optionally streaming telemetry.
 
-    Yields the process-wide :data:`metrics` registry.  With ``jsonl``
-    a :class:`JsonlSink` is opened at that path, registered for round
-    events and run-end summaries, and closed on exit; with
-    ``spans_jsonl`` a :class:`SpanJsonlSink` streams every finished
-    span the same way.  ``meta`` (a ``repro-trace-v2`` meta dict)
-    becomes the sinks' join header.  The previous toggle value is
-    restored on exit.
+    Yields the process-wide :data:`metrics` registry.  With ``jsonl`` a
+    :class:`TelemetrySink` is opened at that path, receives every
+    finished span and every structured log record, and is closed (and
+    promoted from ``<jsonl>.partial``) on exit.  ``meta`` (a
+    ``repro-trace-v2`` meta dict) becomes the stream's join header.  The
+    previous toggle value is restored on exit.
     """
-    sink = JsonlSink(jsonl, meta=meta) if jsonl else None
+    sink = TelemetrySink(jsonl, meta=meta) if jsonl else None
     if sink is not None:
-        on_round(sink.write)
-        on_run_end(sink.write_run_end)
-    span_sink = SpanJsonlSink(spans_jsonl, meta=meta) if spans_jsonl else None
-    if span_sink is not None:
-        tracer.add_sink(span_sink.write)
+        tracer.add_sink(sink.span)
+        log_hub.add_sink(sink.log)
     previous = state.enabled
     enable()
     try:
@@ -229,19 +185,16 @@ def observability(
         if not previous:
             disable()
         if sink is not None:
-            remove_hook(sink.write)
-            remove_hook(sink.write_run_end)
+            tracer.remove_sink(sink.span)
+            log_hub.remove_sink(sink.log)
             sink.close()
-        if span_sink is not None:
-            tracer.remove_sink(span_sink.write)
-            span_sink.close()
 
 
 # -- recording entry points (callers guard on ``state.enabled``) -------------
 
 
 def record_round(event: RoundEvent, seconds: Optional[float] = None) -> None:
-    """Account a round event in the metrics and dispatch round hooks.
+    """Account a round event in the metrics.
 
     ``seconds`` (wall time of the round, when the engine measured it)
     feeds the fixed-bucket ``round_seconds`` latency histogram that the
@@ -253,11 +206,10 @@ def record_round(event: RoundEvent, seconds: Optional[float] = None) -> None:
         metrics.inc("rounds.crashes", len(event.crashed))
     if seconds is not None:
         metrics.observe_hist("round_seconds", seconds)
-    emit_round(event)
 
 
 def record_kernel(name: str, seconds: float, backend: str) -> None:
-    """Account one kernel call and dispatch kernel hooks.
+    """Account one kernel call.
 
     Also bins the latency into the ``kernel_seconds`` histogram and,
     when tracing is active, records a leaf ``kernel`` span attributed
@@ -274,13 +226,11 @@ def record_kernel(name: str, seconds: float, backend: str) -> None:
             duration_ns,
             attrs={"backend": backend},
         )
-    emit_kernel(name, seconds, backend)
 
 
 def record_run_end(summary: dict) -> None:
-    """Account a finished run and dispatch run-end hooks."""
+    """Account a finished run's verdict in the metrics."""
     metrics.inc("runs.total")
     verdict = summary.get("verdict")
     if verdict:
         metrics.inc(f"runs.verdict.{verdict}")
-    emit_run_end(summary)

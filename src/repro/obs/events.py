@@ -4,10 +4,11 @@ A :class:`RoundEvent` is the per-round cross-section the Section IV case
 analysis argues about: which configuration class was active, how large
 the maximum multiplicity was, how far apart the robots still were
 (spread), which point the movers were sent to and whether it was a safe
-point, and which robots were activated, crashed or actually moved.  Both
-engines emit one per round/tick when observability is enabled; the
-stream serializes to JSONL (:mod:`repro.obs.sink`) and joins to an
-archived ``repro-trace-v2`` trace by seed and scenario.
+point, and which robots were activated, crashed or actually moved.  The
+engine builds one per round/tick when observability is enabled; its
+:meth:`~RoundEvent.to_dict` becomes the attrs of that round's span, so
+it lands in the telemetry stream (:mod:`repro.obs.stream`), which joins
+to an archived ``repro-trace-v2`` trace by seed and scenario.
 
 The event is intentionally *flat* (strings, ints, floats, tuples): it
 must round-trip JSON exactly, diff cleanly between two runs, and never
@@ -19,10 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-__all__ = ["OBS_SCHEMA", "RoundEvent"]
-
-#: Schema identifier of the JSONL event stream.
-OBS_SCHEMA = "repro-obs-v1"
+__all__ = ["RoundEvent"]
 
 
 @dataclass(frozen=True)

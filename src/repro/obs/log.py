@@ -1,12 +1,10 @@
-"""Structured, process-wide JSONL logging (``repro-log-v1``).
+"""Structured, process-wide logging: one hub, leveled records, sinks.
 
-The repo's other observability streams — events, spans, metrics — are
-machine-first: schema-versioned JSONL with a header line, readable by the
-same CLI that wrote them.  Operational logging historically was not: a
-handful of ad-hoc ``logging.warning(... "(warning once)")`` and
-``warnings.warn`` sites scattered across the pool, the hook dispatcher,
-and the result store, none of which land anywhere a tool can read.  This
-module gives those sites one structured hub:
+Operational logging used to be a handful of ad-hoc
+``logging.warning(... "(warning once)")`` and ``warnings.warn`` sites
+scattered across the pool and the result store, none of which landed
+anywhere a tool can read.  This module gives those sites one structured
+hub:
 
 * **leveled records** — ``debug/info/warning/error``, each a JSON dict
   with ``ts`` (wall clock), ``level``, ``logger``, ``event`` (a stable
@@ -18,12 +16,14 @@ module gives those sites one structured hub:
 * **rate limiting** — per ``(logger, event)`` token budget per interval;
   suppressed records are counted and surface as one ``log.suppressed``
   notice when the window rolls, so a hot failure path cannot flood disk;
-* **quarantining sinks** — a sink that raises is disabled after one
-  structured complaint, same contract as span/event sinks.
+* **quarantining sinks** — a sink that raises is removed and reported
+  once by :func:`quarantine`, the helper the span tracer's sinks share.
 
 Records always mirror to the stdlib :mod:`logging` tree (logger name =
 record's ``logger``), so existing handlers, ``caplog``, and operator
-habits keep working; attached JSONL sinks additionally get the dict.
+habits keep working; attached sinks additionally get the dict — e.g.
+:meth:`repro.obs.stream.TelemetrySink.log`, which writes them as
+``log`` records of the one telemetry stream.
 
 The module is intentionally **stdlib-only with no intra-repo imports**:
 ``repro.obs`` imports from ``repro.resilience``, and the pool needs to
@@ -33,25 +33,20 @@ log — keeping this leaf module dependency-free lets every layer use it
 
 from __future__ import annotations
 
-import io
-import json
 import logging
 import threading
 import time
-from typing import Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Callable, Dict, List, Tuple
 
 __all__ = [
-    "LOG_SCHEMA",
     "LEVELS",
     "LogHub",
     "StructuredLogger",
-    "LogJsonlSink",
     "get_logger",
     "hub",
-    "read_log",
+    "quarantine",
+    "summarize_log",
 ]
-
-LOG_SCHEMA = "repro-log-v1"
 
 #: Level names in severity order; records carry the name, not a number.
 LEVELS = ("debug", "info", "warning", "error")
@@ -81,7 +76,6 @@ class LogHub:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._sinks: List[Callable[[dict], None]] = []
-        self._quarantined: set = set()
         self._warned: Dict[str, int] = {}
         self._windows: Dict[Tuple[str, str], Tuple[float, int]] = {}
         self.rate_burst = RATE_LIMIT_BURST
@@ -99,17 +93,18 @@ class LogHub:
         with self._lock:
             self._sinks.append(sink)
 
-    def remove_sink(self, sink: Callable[[dict], None]) -> None:
+    def remove_sink(self, sink: Callable[[dict], None]) -> bool:
+        """Unregister ``sink``; True when it was registered."""
         with self._lock:
-            if sink in self._sinks:
-                self._sinks.remove(sink)
-            self._quarantined.discard(id(sink))
+            kept = [s for s in self._sinks if s != sink]
+            removed = len(kept) < len(self._sinks)
+            self._sinks = kept
+            return removed
 
     def reset(self) -> None:
         """Drop sinks, warn-once memory, and rate windows (tests)."""
         with self._lock:
             self._sinks.clear()
-            self._quarantined.clear()
             self._warned.clear()
             self._windows.clear()
 
@@ -189,16 +184,10 @@ class LogHub:
         with self._lock:
             sinks = list(self._sinks)
         for sink in sinks:
-            if id(sink) in self._quarantined:
-                continue
             try:
                 sink(record)
             except Exception as exc:  # noqa: BLE001 - sink bugs must not kill callers
-                with self._lock:
-                    self._quarantined.add(id(sink))
-                logging.getLogger("repro.obs.log").warning(
-                    "log sink %r raised %s: %s; quarantining it", sink, type(exc).__name__, exc
-                )
+                quarantine(sink, self.remove_sink, "log_sink.quarantined", exc)
 
 
 #: The process-wide hub all structured loggers emit through.
@@ -243,70 +232,32 @@ def get_logger(name: str) -> StructuredLogger:
         return logger
 
 
-class LogJsonlSink:
-    """Append records to a ``repro-log-v1`` JSONL file, line-buffered.
+def quarantine(
+    sink: Callable, remove: Callable[[Callable], bool], event: str, exc: Exception
+) -> None:
+    """Drop a sink that raised, then say so once.
 
-    Unlike the span/event sinks (which write ``.partial`` then promote on
-    close — right for run artifacts), a log file must be *tailable while
-    the process runs*: the header and every record are flushed as they
-    are written, straight to the final path.
+    Telemetry is derived state, so a broken sink must never take the
+    caller (a simulation round, a request handler) down with it.  The
+    sink is removed *first*: the warning fans out through the hub, so a
+    hub sink's own failure is reported without reaching it again, and a
+    sink that is already gone (another thread got there first) is not
+    reported twice.  Callers catch ``Exception`` only, so
+    ``KeyboardInterrupt`` and other ``BaseException`` subclasses still
+    propagate.
     """
-
-    def __init__(self, path, meta: Optional[dict] = None) -> None:
-        self.path = path
-        self._lock = threading.Lock()
-        self._handle: TextIO = io.open(path, "w", encoding="utf-8")
-        header = {"format": LOG_SCHEMA, "meta": dict(meta or {})}
-        self._handle.write(json.dumps(header, sort_keys=True) + "\n")
-        self._handle.flush()
-
-    def __call__(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, default=str)
-        with self._lock:
-            if self._handle.closed:
-                return
-            self._handle.write(line + "\n")
-            self._handle.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.flush()
-                self._handle.close()
-
-
-def read_log(path) -> Tuple[dict, List[dict]]:
-    """Read a ``repro-log-v1`` file → ``(meta, records)``.
-
-    Mirrors :func:`repro.obs.spans.read_spans`.  Raises ``ValueError``
-    on a missing or foreign header so callers can fall through to other
-    readers; tolerates a truncated trailing line (the process may have
-    died mid-write — logs are flushed per line, not atomically).
-    """
-    with io.open(path, "r", encoding="utf-8") as handle:
-        header_line = handle.readline()
-        if not header_line.strip():
-            raise ValueError(f"{path}: empty file, expected {LOG_SCHEMA} header")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not a {LOG_SCHEMA} file: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != LOG_SCHEMA:
-            raise ValueError(f"{path}: header format is not {LOG_SCHEMA!r}")
-        records: List[dict] = []
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                break  # truncated tail: keep what parsed
-    return header.get("meta", {}), records
+    if remove(sink):
+        error = f"{type(exc).__name__}: {exc}"
+        get_logger("repro.obs").warning(
+            event,
+            f"sink {sink!r} raised {error}; removing it",
+            sink=repr(sink),
+            error=error,
+        )
 
 
 def summarize_log(records: List[dict]) -> dict:
-    """Aggregate counts the ``repro stats`` CLI prints for a log file."""
+    """Aggregate counts ``repro stats`` prints for a stream's log records."""
     by_level: Dict[str, int] = {}
     by_event: Dict[str, int] = {}
     warn_once: Dict[str, int] = {}

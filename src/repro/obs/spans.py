@@ -1,12 +1,16 @@
 """Span tracing: run -> round -> phase -> kernel on one timeline.
 
-Round events (:mod:`repro.obs.events`) say *what* each round did;
-spans say *when* and *inside what*.  A :class:`Span` is a named time
-range with an explicit parent/child id link and monotonic nanosecond
-timestamps (``time.perf_counter_ns``), forming the hierarchy
+A :class:`Span` is a named time range with an explicit parent/child id
+link and monotonic nanosecond timestamps (``time.perf_counter_ns``),
+forming the hierarchy
 
-* ``run`` — one span per engine run;
-* ``round`` — one child per ATOM round / ASYNC tick;
+* ``run`` — one span per engine run; its attrs are the run-end summary
+  (engine, verdict, rounds, seed, and ``stale_moves`` under phased
+  activation);
+* ``round`` — one child per ATOM round / ASYNC tick; its attrs are the
+  round's :class:`~repro.obs.events.RoundEvent` dict (Section IV class,
+  multiplicity, spread, elected target, activated / crashed / moved
+  sets), so the per-round evidence and its timing are one record;
 * ``phase`` — the LOOK / COMPUTE / MOVE decomposition.  In ATOM the
   phases are round-global barriers, so each round carries three phase
   children; in ASYNC each *activation* is its own phase span (that
@@ -17,17 +21,13 @@ timestamps (``time.perf_counter_ns``), forming the hierarchy
 Recording goes through the process-wide :data:`tracer` and is guarded
 exactly like every other obs signal: call sites check
 ``obs.state.enabled`` first, so a disabled process allocates no span
-objects (the no-alloc regression test covers this).  With observability
-on, tracing defaults on too and can be vetoed with ``REPRO_SPANS=0``.
+objects (the no-alloc regression test covers this).
 
 The tracer keeps a bounded in-memory tail (ring buffer) — enough for a
 sweep worker to ship its recent spans home in the per-seed result
-payload — and optionally streams every finished span to sinks, e.g. a
-:class:`SpanJsonlSink` writing the ``repro-spans-v1`` JSONL format:
-
-* line 1 — header ``{"format": "repro-spans-v1", "meta": {...}}`` with
-  the same ``repro-trace-v2`` meta block the event sink embeds;
-* one line per finished span.
+payload — and streams every finished span to its sinks, e.g.
+:meth:`repro.obs.stream.TelemetrySink.span`, which writes them as
+``span`` records of the one ``repro-telemetry-v1`` stream.
 
 :func:`chrome_trace_events` converts serialized spans into the Chrome
 trace-event JSON format (``ph: "X"`` complete events, microsecond
@@ -37,27 +37,18 @@ directly — that is what ``repro trace-export`` emits.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, TextIO, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
-from ..resilience import TraceFormatError, fsync_handle, promote
-from .log import get_logger
+from .log import quarantine
 
 __all__ = [
-    "SPANS_SCHEMA",
     "Span",
     "Tracer",
     "tracer",
-    "SpanJsonlSink",
-    "read_spans",
     "chrome_trace_events",
 ]
-
-#: Schema identifier of the spans JSONL stream.
-SPANS_SCHEMA = "repro-spans-v1"
 
 #: Finished spans the tracer retains in memory (ring buffer).
 DEFAULT_TAIL_CAPACITY = 8192
@@ -102,27 +93,22 @@ class Span:
         return payload
 
 
-def _env_vetoed(value: Optional[str]) -> bool:
-    return (value or "").strip().lower() in ("0", "false", "no", "off")
-
-
 class Tracer:
     """The process-wide span recorder.
 
     Single-threaded by design (both engines are): the open-span stack
     *is* the current parent chain, so ``begin``/``end`` pairs nest
     without any caller-side bookkeeping.  ``active`` is a plain
-    attribute so the hot-path guard stays one attribute read — call
-    sites check ``obs.state.enabled and tracer.active``.
+    in-process switch, on by default; call sites check
+    ``obs.state.enabled and tracer.active``, two attribute reads.
     """
 
     def __init__(self, capacity: int = DEFAULT_TAIL_CAPACITY) -> None:
-        self.active = not _env_vetoed(os.environ.get("REPRO_SPANS"))
+        self.active = True
         self._next_id = 1
         self._stack: List[Span] = []
         self._tail: Deque[Span] = deque(maxlen=capacity)
         self._sinks: List[Callable[[Span], None]] = []
-        self._warned_sinks: set = set()
         #: Completion counter; per-seed payloads slice the tail on it.
         self.seq = 0
 
@@ -191,19 +177,7 @@ class Tracer:
             try:
                 sink(span)
             except Exception as exc:
-                # Same contract as the hardened obs hooks: a broken sink
-                # is warned about once and removed; it never takes the
-                # simulation down with it.
-                if id(sink) not in self._warned_sinks:
-                    self._warned_sinks.add(id(sink))
-                    get_logger("repro.obs.spans").warning(
-                        "span_sink.quarantined",
-                        f"span sink {sink!r} raised "
-                        f"{type(exc).__name__}: {exc}; removing it",
-                        sink=repr(sink),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                self.remove_sink(sink)
+                quarantine(sink, self.remove_sink, "span_sink.quarantined", exc)
 
     # -- sinks & reading ---------------------------------------------------
 
@@ -211,9 +185,12 @@ class Tracer:
         self._sinks.append(sink)
         return sink
 
-    def remove_sink(self, sink: Callable[[Span], None]) -> None:
-        while sink in self._sinks:
-            self._sinks.remove(sink)
+    def remove_sink(self, sink: Callable[[Span], None]) -> bool:
+        """Unregister ``sink``; True when it was registered."""
+        kept = [s for s in self._sinks if s != sink]
+        removed = len(kept) < len(self._sinks)
+        self._sinks = kept
+        return removed
 
     def tail(self, since_seq: int = 0) -> List[Span]:
         """Finished spans with completion number > ``since_seq`` that
@@ -226,97 +203,11 @@ class Tracer:
         self._stack.clear()
         self._tail.clear()
         self._sinks.clear()
-        self._warned_sinks.clear()
         self.seq = 0
 
 
 #: The process-wide tracer all span instrumentation records into.
 tracer = Tracer()
-
-
-class SpanJsonlSink:
-    """Streaming ``repro-spans-v1`` JSONL writer.
-
-    Mirrors :class:`~repro.obs.sink.JsonlSink`: eager self-describing
-    header, stream into ``<path>.partial``, fsync + atomic rename on
-    :meth:`close` — a finished spans file is always whole.
-    """
-
-    def __init__(self, path: str, meta: Optional[dict] = None) -> None:
-        self.path = path
-        self.meta = meta
-        self._partial_path = path + ".partial"
-        self._handle: Optional[TextIO] = open(
-            self._partial_path, "w", encoding="utf-8"
-        )
-        self._write_line({"format": SPANS_SCHEMA, "meta": meta})
-
-    def _write_line(self, payload: dict) -> None:
-        if self._handle is None:
-            raise ValueError(f"span sink {self.path!r} is closed")
-        self._handle.write(json.dumps(payload))
-        self._handle.write("\n")
-
-    def write(self, span: Span) -> None:
-        self._write_line(span.to_dict())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            fsync_handle(self._handle)
-            self._handle.close()
-            self._handle = None
-            promote(self._partial_path, self.path)
-
-    def __enter__(self) -> "SpanJsonlSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def read_spans(path: str) -> Tuple[Optional[dict], List[dict]]:
-    """Read a spans JSONL stream: ``(meta, span dicts)``.
-
-    Raises :class:`ValueError` on a missing or foreign header and
-    :class:`~repro.resilience.errors.TraceFormatError` (with path and
-    1-based line number) on corrupted payload lines — the same loud
-    failure contract as the event-stream reader.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            header_line = handle.readline()
-        except UnicodeDecodeError:
-            raise ValueError(f"{path!r} is not a {SPANS_SCHEMA} stream")
-        try:
-            header = json.loads(header_line) if header_line.strip() else None
-        except json.JSONDecodeError:
-            header = None
-        if not isinstance(header, dict) or header.get("format") != SPANS_SCHEMA:
-            raise ValueError(f"{path!r} is not a {SPANS_SCHEMA} stream")
-        spans: List[dict] = []
-        line_no = 1
-        for line in handle:
-            line_no += 1
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(
-                    f"{path}: undecodable span line {line_no}: {exc.msg} "
-                    f"(stream truncated or corrupted)",
-                    path=path,
-                    line=line_no,
-                    offset=exc.pos,
-                ) from exc
-            if not isinstance(payload, dict) or "id" not in payload:
-                raise TraceFormatError(
-                    f"{path}: span line {line_no} is not a span object",
-                    path=path,
-                    line=line_no,
-                )
-            spans.append(payload)
-    return header.get("meta"), spans
 
 
 def chrome_trace_events(

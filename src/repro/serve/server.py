@@ -68,10 +68,10 @@ from ..experiments.runner import Scenario, run_scenario, executor
 from ..geometry import kernels
 from ..obs.aggregate import Aggregator, namespace_delta
 from ..obs.histogram import Histogram
-from ..obs.log import LogJsonlSink, get_logger
+from ..obs.log import get_logger
 from ..obs.log import hub as log_hub
 from ..obs.metrics import Metrics
-from ..obs.spans import SpanJsonlSink
+from ..obs.stream import TelemetrySink
 from ..resilience import (
     ChaosPolicy,
     ReproError,
@@ -95,7 +95,6 @@ from .protocol import SERVE_SCHEMA
 from .store import ResultStore, result_key
 from .tracing import (
     REQUEST_ID_HEADER,
-    LockedSpanWriter,
     RequestTrace,
     clean_request_id,
 )
@@ -205,24 +204,19 @@ class ReproServer:
         # request, never rate-limited (the hub's limiter is for hot
         # failure paths; ``http.line``/``http.error`` stay capped).
         log_hub.rate_exempt.add("http.access")
-        self._access_sink: Optional[LogJsonlSink] = None
+        meta = {"source": "repro-serve", "version": __version__}
+        #: Log records land here, at the final path so the file can be
+        #: tailed while the daemon runs.
+        self._access_sink: Optional[TelemetrySink] = None
         if access_log:
-            self._access_sink = LogJsonlSink(
-                access_log,
-                meta={"source": "repro-serve", "version": __version__},
-            )
-            log_hub.add_sink(self._access_sink)
-        #: Per-request span trees stream here (one repro-spans-v1 file
-        #: shared by all handler threads); ``None`` disables request
-        #: tracing entirely — no span objects are built.
-        self._trace_writer: Optional[LockedSpanWriter] = None
+            self._access_sink = TelemetrySink(access_log, meta, tailable=True)
+            log_hub.add_sink(self._access_sink.log)
+        #: Per-request span trees stream here (one file shared by all
+        #: handler threads); ``None`` disables request tracing entirely
+        #: — no span objects are built.
+        self._trace_sink: Optional[TelemetrySink] = None
         if trace_jsonl:
-            self._trace_writer = LockedSpanWriter(
-                SpanJsonlSink(
-                    trace_jsonl,
-                    meta={"source": "repro-serve", "version": __version__},
-                )
-            )
+            self._trace_sink = TelemetrySink(trace_jsonl, meta)
         self.started = time.monotonic()
         self._serving = threading.Event()
         self.httpd = _Server((host, port), _Handler)
@@ -285,13 +279,13 @@ class ReproServer:
         if self._pool_cm is not None:
             self._pool_cm.__exit__(None, None, None)
             self._pool_cm = self._pool = None
-        if self._trace_writer is not None:
-            # Promotes <path>.partial to its final name: the spans file
+        if self._trace_sink is not None:
+            # Promotes <path>.partial to its final name: the trace file
             # becomes whole exactly when the daemon finishes draining.
-            self._trace_writer.close()
-            self._trace_writer = None
+            self._trace_sink.close()
+            self._trace_sink = None
         if self._access_sink is not None:
-            log_hub.remove_sink(self._access_sink)
+            log_hub.remove_sink(self._access_sink.log)
             self._access_sink.close()
             self._access_sink = None
 
@@ -301,15 +295,15 @@ class ReproServer:
         self, request_id: str, route: str, method: str
     ) -> Optional[RequestTrace]:
         """Open a per-request span tree, or ``None`` when tracing is
-        off (no ``--trace-jsonl`` sink, or ``REPRO_SPANS`` vetoed).
+        off (no ``--trace-jsonl`` sink).
 
         The ``None`` path is the zero-overhead guard: every tracing
         call site on the request path checks it with one comparison and
         builds nothing.
         """
-        if self._trace_writer is None or not _obs.tracer.active:
+        if self._trace_sink is None:
             return None
-        return RequestTrace(request_id, route, method, self._trace_writer)
+        return RequestTrace(request_id, route, method, self._trace_sink.span)
 
     # -- admission / chaos -------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Per-request span trees for the serve stack (``X-Repro-Request-Id``).
 
-The worker-side span hierarchy (run → round → phase → kernel, PR 5)
-stops at the process boundary: a slow ``POST /run`` is invisible between
-socket accept and the first worker span.  This module extends the same
-``repro-spans-v1`` machinery across the HTTP layer:
+The worker-side span hierarchy (run → round → phase → kernel) stops at
+the process boundary: a slow ``POST /run`` is invisible between socket
+accept and the first worker span.  This module extends the same span
+machinery across the HTTP layer:
 
 * every request gets an id — client-supplied ``X-Repro-Request-Id``
   propagated verbatim, otherwise server-generated — echoed in the
@@ -15,34 +15,33 @@ socket accept and the first worker span.  This module extends the same
   tracer is single-threaded by design; HTTP handlers are concurrent, so
   each request isolates its parent-chain stack on its own instance);
 * the worker span tails shipped home in result payloads
-  (``result.obs["spans"]``, the PR 5 attachment path) are grafted under
-  the request's ``worker_run`` span: ids are re-allocated to the
-  request tracer, timestamps are rebased from the worker's
-  ``perf_counter_ns`` timeline onto the server's (the two clocks share
-  no epoch), and every span is stamped with the request id — so one
-  spans file joins HTTP-layer and simulation-layer timelines.
+  (``result.obs["spans"]``) are grafted under the request's
+  ``worker_run`` span: ids are re-allocated to the request tracer,
+  timestamps are rebased from the worker's ``perf_counter_ns`` timeline
+  onto the server's (the two clocks share no epoch), and every span is
+  stamped with the request id — so one telemetry file joins HTTP-layer
+  and simulation-layer timelines.
 
-Tracing is wired only when the daemon is given a ``--trace-jsonl`` sink
-and ``REPRO_SPANS`` is not vetoed; otherwise no span objects are built
-anywhere on the request path (the serve counterpart of the engines'
-no-alloc contract).
+Tracing is wired only when the daemon is given a ``--trace-jsonl``
+sink; otherwise no span objects are built anywhere on the request path
+(the serve counterpart of the engine's no-alloc contract).  All request
+tracers share that one thread-safe
+:class:`~repro.obs.stream.TelemetrySink`.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 import uuid
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from ..obs.spans import Span, SpanJsonlSink, Tracer
+from ..obs.spans import Span, Tracer
 
 __all__ = [
     "REQUEST_ID_HEADER",
     "new_request_id",
     "clean_request_id",
     "RequestTrace",
-    "LockedSpanWriter",
 ]
 
 #: The request-id header, both directions: propagated when the client
@@ -66,34 +65,12 @@ def clean_request_id(supplied: Optional[str]) -> str:
     return new_request_id()
 
 
-class LockedSpanWriter:
-    """Serialize concurrent handler threads onto one span sink.
-
-    :class:`~repro.obs.spans.SpanJsonlSink` is written by one tracer in
-    the worker/CLI paths; here many per-request tracers share it, so
-    every write takes a lock (one line per span — the lock is held for
-    a single buffered write).
-    """
-
-    def __init__(self, sink: SpanJsonlSink) -> None:
-        self.sink = sink
-        self._lock = threading.Lock()
-
-    def __call__(self, span: Span) -> None:
-        with self._lock:
-            self.sink.write(span)
-
-    def close(self) -> None:
-        with self._lock:
-            self.sink.close()
-
-
 class RequestTrace:
     """The span tree of one in-flight request.
 
     Opened at admission, closed by :meth:`finish` just before the
     response epilogue.  All methods run on the request's handler
-    thread; the only shared state is the (locked) writer.
+    thread; the only shared state is the (thread-safe) span sink.
     """
 
     def __init__(
@@ -101,13 +78,12 @@ class RequestTrace:
         request_id: str,
         route: str,
         method: str,
-        writer,
+        sink: Optional[Callable[[Span], None]],
     ) -> None:
         self.request_id = request_id
         self.tracer = Tracer()
-        self.tracer.active = True
-        if writer is not None:
-            self.tracer.add_sink(writer)
+        if sink is not None:
+            self.tracer.add_sink(sink)
         self.root = self.tracer.begin(
             "request",
             "request",

@@ -664,27 +664,25 @@ class Simulation:
 
         Observability: with the obs layer on, the step is timed (the
         ``round_seconds`` histogram) and, when tracing is active, it
-        becomes a span.  Atomic phases are round-global barriers, so the
-        round span gets three phase children: ``look`` covers fixing the
-        snapshot everyone acts on (crashes + scheduling), ``compute``
-        the fused per-robot LOOK+COMPUTE loop, and ``move`` the
-        simultaneous move resolution.  Phased activation has no such
+        becomes a span whose attrs are the round's
+        :class:`~repro.obs.events.RoundEvent`.  Atomic phases are
+        round-global barriers, so the round span gets three phase
+        children: ``look`` covers fixing the snapshot everyone acts on
+        (crashes + scheduling), ``compute`` the fused per-robot
+        LOOK+COMPUTE loop, and ``move`` the simultaneous move
+        resolution.  Phased activation has no such
         barrier — LOOK and MOVE activations interleave per robot, which
         is the point of the CORDA model — so each activation gets its
         *own* phase span labelled with the robot id.  All of it sits
-        behind the same one-attribute-read guard as event recording: a
-        disabled process allocates no span objects and reads no clock.
+        behind one attribute read: a disabled process builds no event,
+        allocates no span objects and reads no clock.
         """
         phased = self.activation.phased
         obs_on = _obs.state.enabled
         started = time.perf_counter() if obs_on else 0.0
         tracer = _obs.tracer if obs_on and _obs.tracer.active else None
         round_span = (
-            tracer.begin(
-                "tick" if phased else "round",
-                "round",
-                attrs={"round": self.round_index},
-            )
+            tracer.begin("tick" if phased else "round", "round")
             if tracer is not None
             else None
         )
@@ -743,14 +741,11 @@ class Simulation:
         for observer in self.observers:
             observer(record)
         if obs_on:
+            event = RoundEvent.from_record(record, engine=self.activation.name)
             if round_span is not None:
-                round_span.attrs["class"] = cls.value
-                round_span.attrs["moved"] = len(moved)
+                round_span.attrs = event.to_dict()
                 tracer.end(round_span)
-            _obs.record_round(
-                RoundEvent.from_record(record, engine=self.activation.name),
-                seconds=time.perf_counter() - started,
-            )
+            _obs.record_round(event, seconds=time.perf_counter() - started)
         self.round_index += 1
         return record
 
@@ -827,11 +822,7 @@ class Simulation:
     def run(self) -> SimulationResult:
         """Run until gathered / impossible / stalled / out of rounds."""
         run_span = (
-            _obs.tracer.begin(
-                "run",
-                "run",
-                attrs={"engine": self.activation.name, "seed": self.seed},
-            )
+            _obs.tracer.begin("run", "run")
             if _obs.state.enabled and _obs.tracer.active
             else None
         )
@@ -860,10 +851,6 @@ class Simulation:
 
         spot = self._gathered_now()
         if _obs.state.enabled:
-            if run_span is not None:
-                run_span.attrs["verdict"] = verdict
-                run_span.attrs["rounds"] = self.round_index
-                _obs.tracer.end(run_span)
             run_end = {
                 "engine": self.activation.name,
                 "verdict": verdict,
@@ -872,6 +859,9 @@ class Simulation:
             }
             if self.activation.phased:
                 run_end["stale_moves"] = self.stale_moves
+            if run_span is not None:
+                run_span.attrs = run_end
+                _obs.tracer.end(run_span)
             _obs.record_run_end(run_end)
         return SimulationResult(
             verdict=verdict,

@@ -1,4 +1,4 @@
-"""CLI surface of the telemetry layer: spans files, sweep metrics,
+"""CLI surface of the telemetry layer: telemetry streams, sweep metrics,
 trace export, and the stats edge cases."""
 
 import json
@@ -8,10 +8,12 @@ import pytest
 
 from repro.cli import main
 from repro.obs import (
-    OBS_SCHEMA,
     SWEEP_METRICS_SCHEMA,
-    read_spans,
+    TELEMETRY_SCHEMA,
+    RoundEvent,
+    read_telemetry,
 )
+from repro.sim.replay import load_trace
 
 
 def _assert_chrome_shape(path):
@@ -36,11 +38,11 @@ class TestSimulateSpans:
         spans_path = str(tmp_path / "run.spans.jsonl")
         code = main([
             "simulate", "--workload", "asymmetric", "--n", "6",
-            "--seed", "1", "--spans-jsonl", spans_path,
+            "--seed", "1", "--obs-jsonl", spans_path,
         ])
         assert code == 0
-        assert "span trace saved to" in capsys.readouterr().out
-        meta, spans = read_spans(spans_path)
+        assert "telemetry saved to" in capsys.readouterr().out
+        meta, spans = read_telemetry(spans_path)
         assert meta["scenario"]["workload"] == "asymmetric"
         kinds = {s["kind"] for s in spans}
         assert {"run", "round", "phase"} <= kinds
@@ -83,7 +85,7 @@ class TestTraceExport:
         path = str(tmp_path / "run.spans.jsonl")
         main([
             "simulate", "--workload", "asymmetric", "--n", "6",
-            "--seed", "1", "--spans-jsonl", path,
+            "--seed", "1", "--obs-jsonl", path,
         ])
         return path
 
@@ -92,7 +94,7 @@ class TestTraceExport:
         out_path = str(tmp_path / "out.json")
         code = main(["trace-export", spans_path, "-o", out_path])
         assert code == 0
-        assert "span stream" in capsys.readouterr().out
+        assert "telemetry stream" in capsys.readouterr().out
         document = _assert_chrome_shape(out_path)
         args = [
             e["args"] for e in document["traceEvents"] if e["ph"] == "X"
@@ -114,8 +116,14 @@ class TestTraceExport:
         ])
         out_path = str(tmp_path / "out.json")
         assert main(["trace-export", events_path, "-o", out_path]) == 0
-        assert "obs event stream" in capsys.readouterr().out
-        _assert_chrome_shape(out_path)
+        assert "telemetry stream" in capsys.readouterr().out
+        document = _assert_chrome_shape(out_path)
+        # Real timing, not the synthetic per-round timeline: the round
+        # events ride along as the round spans' args.
+        rounds = [
+            e for e in document["traceEvents"] if e.get("cat") == "round"
+        ]
+        assert rounds and all("class" in e["args"] for e in rounds)
 
     def test_trace_archive_export(self, tmp_path, capsys):
         trace_path = str(tmp_path / "run.trace.json")
@@ -134,7 +142,7 @@ class TestTraceExport:
             handle.write('{"id": 1, "trunc\n')
         code = main(["trace-export", spans_path, "-o", str(tmp_path / "o")])
         assert code == 2
-        assert "undecodable span line" in capsys.readouterr().err
+        assert "undecodable telemetry line" in capsys.readouterr().err
 
 
 class TestTraceExportMerge:
@@ -142,7 +150,7 @@ class TestTraceExportMerge:
         path = str(tmp_path / name)
         main([
             "simulate", "--workload", "asymmetric", "--n", "6",
-            "--seed", str(seed), "--spans-jsonl", path,
+            "--seed", str(seed), "--obs-jsonl", path,
         ])
         return path
 
@@ -154,7 +162,7 @@ class TestTraceExportMerge:
         code = main(["trace-export", first, second, "-o", out_path])
         assert code == 0
         out = capsys.readouterr().out
-        assert out.count("span stream") == 2
+        assert out.count("telemetry stream") == 2
         document = _assert_chrome_shape(out_path)
         pids = {e["pid"] for e in document["traceEvents"]}
         assert pids == {0, 1}
@@ -172,18 +180,20 @@ class TestTraceExportMerge:
 
 class TestStatsOnLogFiles:
     def _log_file(self, tmp_path):
-        from repro.obs.log import LogJsonlSink, get_logger, hub
+        from repro.obs import TelemetrySink
+        from repro.obs.log import get_logger, hub
 
         path = str(tmp_path / "daemon.log.jsonl")
-        sink = LogJsonlSink(path, meta={"source": "unit-test"})
-        hub.add_sink(sink)
+        sink = TelemetrySink(path, meta={"source": "unit-test"},
+                             tailable=True)
+        hub.add_sink(sink.log)
         try:
             log = get_logger("repro.unit")
             log.info("http.access", "request", status=200)
             log.info("http.access", "request", status=200)
             log.warn_once("pool.broken", "pool.worker_lost", "gone")
         finally:
-            hub.remove_sink(sink)
+            hub.remove_sink(sink.log)
             sink.close()
         return path
 
@@ -192,7 +202,7 @@ class TestStatsOnLogFiles:
         code = main(["stats", path])
         out = capsys.readouterr().out
         assert code == 0
-        assert "structured log, 3 records" in out
+        assert "0 round events, 3 log records" in out
         assert "source=unit-test" in out
         assert "http.access" in out
         assert "pool.worker_lost" in out
@@ -207,27 +217,15 @@ class TestStatsOnLogFiles:
             "--seed", "1", "--obs-jsonl", events_path,
         ])
         assert main(["stats", events_path]) == 0
-        assert "obs event stream" in capsys.readouterr().out
+        assert "telemetry stream" in capsys.readouterr().out
 
 
 class TestStatsEdgeCases:
-    def test_spans_file_gets_redirected_in_one_line(self, tmp_path, capsys):
-        spans_path = str(tmp_path / "run.spans.jsonl")
-        main([
-            "simulate", "--workload", "asymmetric", "--n", "6",
-            "--seed", "1", "--spans-jsonl", spans_path,
-        ])
-        code = main(["stats", spans_path])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "repro-spans-v1 span stream" in err
-        assert "trace-export" in err
-
     def test_empty_event_stream_reported_not_tabulated(self, tmp_path,
                                                        capsys):
         path = tmp_path / "empty.obs.jsonl"
         path.write_text(
-            json.dumps({"format": OBS_SCHEMA, "meta": None}) + "\n"
+            json.dumps({"format": TELEMETRY_SCHEMA, "meta": None}) + "\n"
         )
         code = main(["stats", str(path)])
         out = capsys.readouterr().out
@@ -239,9 +237,64 @@ class TestStatsEdgeCases:
                                                           capsys):
         path = tmp_path / "bad.obs.jsonl"
         path.write_text(
-            json.dumps({"format": OBS_SCHEMA, "meta": None})
-            + '\n{"round": 0, "trunc\n'
+            json.dumps({"format": TELEMETRY_SCHEMA, "meta": None})
+            + '\n{"type": "span", "trunc\n'
         )
         code = main(["stats", str(path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _table(out, table_id):
+    """The rendered block of one ``[table_id]`` table in ``out``."""
+    start = out.index(f"[{table_id}]")
+    end = out.find("\n\n", start)
+    return (out[start:] if end < 0 else out[start:end]).rstrip("\n")
+
+
+class TestStreamMatchesTraceArchive:
+    """One run recorded twice: the telemetry stream and the trace
+    archive must tell the same round-by-round story."""
+
+    def test_stream_and_archive_agree(self, tmp_path, capsys):
+        stream = str(tmp_path / "run.jsonl")
+        archive = str(tmp_path / "run.trace.json")
+        assert main([
+            "simulate", "--workload", "asymmetric", "--n", "6", "--f", "2",
+            "--crashes", "after-move", "--scheduler", "round-robin",
+            "--movement", "rigid", "--seed", "3",
+            "--obs-jsonl", stream, "--save-trace", archive,
+        ]) == 0
+        capsys.readouterr()
+
+        # Round-span attrs are exactly the events derived from the
+        # archived records.
+        _, records = read_telemetry(stream)
+        attrs = [
+            r["attrs"] for r in records
+            if r["type"] == "span" and r["kind"] == "round"
+        ]
+        trace = load_trace(archive)
+        assert attrs == [
+            RoundEvent.from_record(record).to_dict()
+            for record in trace.records
+        ]
+
+        # stats prints identical class and summary tables for both.
+        assert main(["stats", stream]) == 0
+        from_stream = capsys.readouterr().out
+        assert main(["stats", archive]) == 0
+        from_archive = capsys.readouterr().out
+        for table_id in ("stats-classes", "stats-summary"):
+            assert _table(from_stream, table_id) == _table(
+                from_archive, table_id
+            )
+        # Only the stream has run spans, so only it reports the verdict.
+        assert "gathered" in _table(from_stream, "stats-runs")
+
+        # trace-export keeps the whole hierarchy on the real timeline.
+        out_path = str(tmp_path / "run.perfetto.json")
+        assert main(["trace-export", stream, "-o", out_path]) == 0
+        document = _assert_chrome_shape(out_path)
+        cats = {e.get("cat") for e in document["traceEvents"]}
+        assert {"run", "round", "phase"} <= cats

@@ -1,4 +1,5 @@
-"""RoundEvent schema: JSONL round-trip and the join to trace meta."""
+"""RoundEvent schema: round-span attrs in the telemetry stream, the
+round-trip through JSON, and the join to trace meta."""
 
 import json
 
@@ -7,7 +8,7 @@ import pytest
 from repro import obs
 from repro.experiments.runner import Scenario, run_scenario
 from repro.geometry import DEFAULT_TOLERANCE
-from repro.obs import OBS_SCHEMA, Collector, RoundEvent, read_events
+from repro.obs import TELEMETRY_SCHEMA, RoundEvent, read_telemetry
 from repro.sim.trace import TraceMeta
 
 #: n < KERNEL_MIN_N and fully deterministic components: the run is
@@ -71,25 +72,40 @@ class TestDictRoundTrip:
         assert restored.target_is_safe is None
 
 
+def read_stream(path):
+    """``(meta, round events, run summaries)`` of a telemetry stream."""
+    meta, records = read_telemetry(path)
+    events = [
+        RoundEvent.from_dict(r["attrs"])
+        for r in records
+        if r["type"] == "span" and r["kind"] == "round"
+    ]
+    runs = [
+        r["attrs"] for r in records
+        if r["type"] == "span" and r["kind"] == "run"
+    ]
+    return meta, events, runs
+
+
 class TestJsonlStream:
     def test_stream_round_trips_and_joins_to_trace_meta(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
-        collector = Collector()
-        obs.on_round(collector)
         with obs.observability(jsonl=path, meta=scenario_meta(SMALL, 3)):
             result = run_scenario(SMALL, 3, record_trace=True)
 
-        meta, events, run_ends = read_events(path)
+        meta, events, run_ends = read_stream(path)
         # One event per recorded round, bit-exact through JSON.
-        assert len(events) == len(result.trace) == len(collector.events)
-        assert events == collector.events
+        assert len(events) == len(result.trace)
+        assert events == [
+            RoundEvent.from_record(record) for record in result.trace.records
+        ]
         # The header meta is the trace's meta: the streams join on
         # seed and scenario.
         trace_meta = result.trace.meta
         assert meta["seed"] == trace_meta.seed == 3
         assert Scenario.from_dict(meta["scenario"]) == SMALL
         assert meta["engine"] == trace_meta.engine == "atom"
-        # The run-end summary closes the stream.
+        # The run span carries the run-end summary.
         assert len(run_ends) == 1
         assert run_ends[0]["verdict"] == result.verdict
         assert run_ends[0]["rounds"] == result.rounds
@@ -98,7 +114,7 @@ class TestJsonlStream:
         path = str(tmp_path / "events.jsonl")
         with obs.observability(jsonl=path):
             result = run_scenario(SMALL, 3, record_trace=True)
-        _, events, _ = read_events(path)
+        _, events, _ = read_stream(path)
         for event, record in zip(events, result.trace.records):
             assert event.round_index == record.round_index
             assert event.config_class == record.config_class.value
@@ -113,13 +129,13 @@ class TestJsonlStream:
             run_scenario(SMALL, 3)
         with open(path, "r", encoding="utf-8") as handle:
             header = json.loads(handle.readline())
-        assert header["format"] == OBS_SCHEMA
+        assert header["format"] == TELEMETRY_SCHEMA
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "not-events.jsonl"
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(ValueError):
-            read_events(str(path))
+            read_telemetry(str(path))
 
     def test_async_engine_events_tagged(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
@@ -135,8 +151,10 @@ class TestJsonlStream:
         )
         with obs.observability(jsonl=path, meta=scenario_meta(scenario, 3)):
             result = run_scenario(scenario, 3)
-        meta, events, run_ends = read_events(path)
+        meta, events, run_ends = read_stream(path)
         assert meta["engine"] == "async"
         assert events and all(e.engine == "async" for e in events)
         assert len(events) == result.rounds
         assert run_ends[0]["engine"] == "async"
+        # Phased activation reports its stale moves in the run summary.
+        assert "stale_moves" in run_ends[0]

@@ -1,4 +1,5 @@
-"""Structured logging hub: levels, warn-once, rate limit, sinks, I/O."""
+"""Structured logging hub: levels, warn-once, rate limit, sinks, and
+log records in the telemetry stream."""
 
 import json
 import logging
@@ -6,15 +7,9 @@ import logging
 import pytest
 
 from repro import obs
-from repro.obs.log import (
-    LOG_SCHEMA,
-    LogHub,
-    LogJsonlSink,
-    get_logger,
-    hub,
-    read_log,
-    summarize_log,
-)
+from repro.obs.log import LogHub, get_logger, hub, summarize_log
+from repro.obs.stream import TELEMETRY_SCHEMA, TelemetrySink, read_telemetry
+from repro.resilience import TraceFormatError
 
 
 @pytest.fixture()
@@ -145,64 +140,129 @@ class TestSinkQuarantine:
         finally:
             hub.remove_sink(broken)
         assert len(calls) == 1  # never called again after the raise
-        # The healthy sink saw both records.
+        # The healthy sink saw both records, and the one complaint.
         assert [r["msg"] for r in records if r["event"] == "unit.q"] == [
             "one", "two",
         ]
+        complaints = [
+            r for r in records if r["event"] == "log_sink.quarantined"
+        ]
+        assert len(complaints) == 1
+        assert "sink boom" in complaints[0]["msg"]
+
+
+def _log_stream(path, meta=None):
+    """A tailable telemetry stream fed by the hub, as the daemon's
+    ``--access-log`` is."""
+    sink = TelemetrySink(path, meta=meta, tailable=True)
+    hub.add_sink(sink.log)
+    return sink
+
+
+def _close(sink):
+    hub.remove_sink(sink.log)
+    sink.close()
 
 
 class TestJsonlRoundTrip:
     def test_header_and_records(self, tmp_path):
         path = str(tmp_path / "run.log.jsonl")
-        sink = LogJsonlSink(path, meta={"source": "unit"})
-        hub.add_sink(sink)
+        sink = _log_stream(path, meta={"source": "unit"})
         try:
             log = get_logger("repro.test")
             log.info("unit.rt", "hello", n=1)
             log.warning("unit.rt2", "watch out")
         finally:
-            hub.remove_sink(sink)
-            sink.close()
+            _close(sink)
         with open(path, "r", encoding="utf-8") as handle:
             header = json.loads(handle.readline())
-        assert header["format"] == LOG_SCHEMA
-        meta, log_records = read_log(path)
+        assert header["format"] == TELEMETRY_SCHEMA
+        meta, log_records = read_telemetry(path)
         assert meta == {"source": "unit"}
+        assert [r["type"] for r in log_records] == ["log", "log"]
         assert [r["event"] for r in log_records] == ["unit.rt", "unit.rt2"]
         assert log_records[0]["fields"] == {"n": 1}
 
     def test_file_is_tailable_before_close(self, tmp_path):
         path = str(tmp_path / "live.log.jsonl")
-        sink = LogJsonlSink(path)
-        hub.add_sink(sink)
+        sink = _log_stream(path)
         try:
             get_logger("repro.test").info("unit.live", "flushed")
             # No close: the record must already be on disk.
-            meta, log_records = read_log(path)
+            meta, log_records = read_telemetry(path)
         finally:
-            hub.remove_sink(sink)
-            sink.close()
+            _close(sink)
         assert [r["event"] for r in log_records] == ["unit.live"]
 
     def test_truncated_tail_is_tolerated(self, tmp_path):
         path = str(tmp_path / "cut.log.jsonl")
-        sink = LogJsonlSink(path)
-        hub.add_sink(sink)
+        sink = _log_stream(path)
         try:
             get_logger("repro.test").info("unit.cut", "whole")
         finally:
-            hub.remove_sink(sink)
-            sink.close()
+            _close(sink)
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"ts": 1, "level": "info", "trunc')
-        _, log_records = read_log(path)
+            handle.write('{"type": "log", "ts": 1, "level": "info", "trunc')
+        _, log_records = read_telemetry(path)
         assert [r["event"] for r in log_records] == ["unit.cut"]
+
+    @pytest.mark.parametrize("torn", [
+        '{"type": "span", "id": 9, "parent": null, "na',
+        '{"type": "log", "ts": 1, "level": "info", "logger": "a", '
+        '"event": "unit.whole", "msg": "no newline yet"}',
+    ])
+    def test_torn_final_line_is_dropped_for_every_record_type(
+        self, tmp_path, torn
+    ):
+        # A line without its newline is a write the process did not
+        # finish, whatever the record type — even when it happens to
+        # parse.
+        path = str(tmp_path / "cut.log.jsonl")
+        sink = _log_stream(path)
+        try:
+            get_logger("repro.test").info("unit.cut", "whole")
+        finally:
+            _close(sink)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(torn)
+        _, log_records = read_telemetry(path)
+        assert [r["event"] for r in log_records] == ["unit.cut"]
+
+    @pytest.mark.parametrize("bad_line", [
+        '{"type": "log", "ts": 1, "trunc',
+        "[1, 2, 3]",
+        '{"ts": 1, "level": "info", "event": "untyped"}',
+        '{"type": "counter", "name": "x"}',
+        "",
+    ])
+    def test_corrupt_line_mid_stream_raises_with_its_line(
+        self, tmp_path, bad_line
+    ):
+        # An access log corrupted in the middle must not silently lose
+        # that record and every record after it.
+        path = str(tmp_path / "access.log.jsonl")
+        sink = _log_stream(path, meta={"source": "repro-serve"})
+        try:
+            log = get_logger("repro.serve.access")
+            log.info("http.access", "first")
+            log.info("http.access", "second")
+        finally:
+            _close(sink)
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+        lines.insert(2, bad_line + "\n")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        with pytest.raises(TraceFormatError) as excinfo:
+            read_telemetry(path)
+        assert excinfo.value.line == 3
+        assert excinfo.value.path == path
 
     def test_foreign_file_raises_value_error(self, tmp_path):
         path = tmp_path / "foreign.jsonl"
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(ValueError):
-            read_log(str(path))
+            read_telemetry(str(path))
 
 
 class TestSummarize:
@@ -223,5 +283,6 @@ class TestSummarize:
 class TestPackageSurface:
     def test_reexported_from_obs(self):
         assert obs.log_hub is hub
-        assert obs.LOG_SCHEMA == LOG_SCHEMA
+        assert obs.TELEMETRY_SCHEMA == TELEMETRY_SCHEMA
+        assert obs.read_telemetry is read_telemetry
         assert obs.get_logger is get_logger

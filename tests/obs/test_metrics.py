@@ -113,20 +113,25 @@ class TestKernelInstrumentation:
 
     @needs_numpy
     def test_on_kernel_hook_sees_calls(self):
+        # Every kernel call reaches the tracer's hooks as a kernel span.
         seen = []
-        obs.on_kernel(lambda name, seconds, backend: seen.append(name))
+        obs.tracer.add_sink(seen.append)
         coords = [(0.0, 0.0), (1.0, 0.0)]
         with kernels.backend("numpy"):
             obs.enable()
             kernels.pairwise_diameter(coords)
-        assert "pairwise_diameter" in seen
+        assert [(s.kind, s.name) for s in seen] == [
+            ("kernel", "pairwise_diameter")
+        ]
+        assert seen[0].attrs == {"backend": "numpy"}
 
 
 class TestHooks:
     def test_remove_hook(self):
         seen = []
-        hook = obs.on_round(seen.append)
-        obs.emit_round("event")
-        obs.remove_hook(hook)
-        obs.emit_round("event")
-        assert seen == ["event"]
+        obs.tracer.add_sink(seen.append)
+        obs.tracer.end(obs.tracer.begin("first", "phase"))
+        assert obs.tracer.remove_sink(seen.append)
+        obs.tracer.end(obs.tracer.begin("second", "phase"))
+        assert [s.name for s in seen] == ["first"]
+        assert not obs.tracer.remove_sink(seen.append)

@@ -1,4 +1,5 @@
-"""Span tracer: hierarchy, ring buffer, sinks, JSONL I/O, Chrome export."""
+"""Span tracer: hierarchy, ring buffer, sinks, telemetry I/O, Chrome
+export."""
 
 import json
 
@@ -6,13 +7,9 @@ import pytest
 
 from repro import obs
 from repro.experiments.runner import Scenario, run_scenario
-from repro.obs.spans import (
-    SPANS_SCHEMA,
-    SpanJsonlSink,
-    Tracer,
-    chrome_trace_events,
-    read_spans,
-)
+from repro.obs.events import RoundEvent
+from repro.obs.spans import Tracer, chrome_trace_events
+from repro.obs.stream import TELEMETRY_SCHEMA, TelemetrySink, read_telemetry
 from repro.resilience import TraceFormatError
 
 
@@ -131,6 +128,11 @@ class TestEngineSpans:
         run_span = by_kind["run"][0]
         assert run_span.attrs["verdict"] == result.verdict
         assert run_span.attrs["rounds"] == result.rounds
+        # Round spans carry the round event, in round order.
+        assert [
+            RoundEvent.from_dict(s.attrs).round_index
+            for s in by_kind["round"]
+        ] == list(range(result.rounds))
         ids = {s.span_id for s in spans}
         assert all(s.parent_id in ids for s in spans if s.parent_id)
         # Phase spans nest under rounds, rounds under the run.
@@ -175,8 +177,8 @@ class TestSpansJsonl:
     def _write_stream(self, tmp_path, meta=None):
         tracer = Tracer()
         path = str(tmp_path / "run.spans.jsonl")
-        sink = SpanJsonlSink(path, meta=meta)
-        tracer.add_sink(sink.write)
+        sink = TelemetrySink(path, meta=meta)
+        tracer.add_sink(sink.span)
         run = tracer.begin("run", "run", attrs={"seed": 1})
         tracer.end(tracer.begin("round", "round"))
         tracer.end(run)
@@ -186,8 +188,9 @@ class TestSpansJsonl:
     def test_roundtrip(self, tmp_path):
         meta = {"scenario": {"workload": "random", "n": 4}, "seed": 1}
         path = self._write_stream(tmp_path, meta=meta)
-        read_meta, spans = read_spans(path)
+        read_meta, spans = read_telemetry(path)
         assert read_meta == meta
+        assert [s["type"] for s in spans] == ["span", "span"]
         assert [s["name"] for s in spans] == ["round", "run"]
         assert spans[0]["parent"] == spans[1]["id"]
 
@@ -195,24 +198,61 @@ class TestSpansJsonl:
         path = tmp_path / "other.jsonl"
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(ValueError):
-            read_spans(str(path))
+            read_telemetry(str(path))
 
     def test_corrupt_line_raises_trace_format_error(self, tmp_path):
         path = self._write_stream(tmp_path)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"id": 99, "truncat\n')
         with pytest.raises(TraceFormatError) as excinfo:
-            read_spans(path)
+            read_telemetry(path)
         assert excinfo.value.line == 4
 
     def test_non_span_line_raises_trace_format_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
-            json.dumps({"format": SPANS_SCHEMA, "meta": None})
+            json.dumps({"format": TELEMETRY_SCHEMA, "meta": None})
             + "\n[1, 2, 3]\n"
         )
         with pytest.raises(TraceFormatError):
-            read_spans(str(path))
+            read_telemetry(str(path))
+
+    @pytest.mark.parametrize("bad_line", [
+        '{"type": "span", "id": 99, "truncat',
+        '{"id": 99, "parent": null, "name": "untyped", "kind": "phase"}',
+        "\xff\xfe binary garbage",
+    ])
+    def test_corrupt_line_mid_stream_reports_its_line(self, tmp_path,
+                                                      bad_line):
+        path = self._write_stream(tmp_path)
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+        lines.insert(2, bad_line + "\n")
+        with open(path, "w", encoding="latin-1") as handle:
+            handle.writelines(lines)
+        with pytest.raises(TraceFormatError) as excinfo:
+            read_telemetry(path)
+        assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("torn", [
+        '{"type": "span", "id": 99, "truncat',
+        '{"type": "log", "ts": 1, "lev',
+    ])
+    def test_torn_final_line_is_dropped(self, tmp_path, torn):
+        path = self._write_stream(tmp_path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(torn)
+        _, spans = read_telemetry(path)
+        assert [s["name"] for s in spans] == ["round", "run"]
+
+    def test_partial_file_promoted_only_on_close(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        sink = TelemetrySink(str(path))
+        assert not path.exists()
+        assert (tmp_path / "run.jsonl.partial").exists()
+        sink.close()
+        assert path.exists()
+        assert not (tmp_path / "run.jsonl.partial").exists()
 
 
 class TestChromeExport:

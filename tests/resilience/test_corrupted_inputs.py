@@ -14,7 +14,7 @@ import pytest
 from repro import cli
 from repro.bench import HISTORY_SCHEMA, load_history
 from repro.experiments.runner import Scenario, run_scenario
-from repro.obs import read_events
+from repro.obs import TELEMETRY_SCHEMA, read_telemetry
 from repro.resilience import ReproError, TraceFormatError
 from repro.sim.replay import load_trace
 
@@ -114,13 +114,19 @@ class TestBenchLoader:
 
 
 class TestObsLoader:
-    HEADER = json.dumps({"format": "repro-obs-v1", "meta": None})
+    HEADER = json.dumps({"format": TELEMETRY_SCHEMA, "meta": None})
+    SPAN = json.dumps({"type": "span", "id": 1, "parent": None,
+                       "name": "run", "kind": "run", "start_ns": 0,
+                       "dur_ns": 1})
+    LOG = json.dumps({"type": "log", "ts": 1.0, "level": "info",
+                      "logger": "repro.serve.access",
+                      "event": "http.access", "msg": "ok"})
 
     def test_undecodable_payload_line_is_reported_not_skipped(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        path.write_text(self.HEADER + '\n{"round_index": 0, "eng\n')
+        path.write_text(self.HEADER + '\n{"type": "span", "eng\n')
         with pytest.raises(TraceFormatError) as info:
-            read_events(str(path))
+            read_telemetry(str(path))
         assert info.value.line == 2
         assert "undecodable" in str(info.value)
 
@@ -128,13 +134,13 @@ class TestObsLoader:
         path = tmp_path / "events.jsonl"
         path.write_text(self.HEADER + '\n{"not_an_event": true}\n')
         with pytest.raises(TraceFormatError, match="line 2"):
-            read_events(str(path))
+            read_telemetry(str(path))
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text(self.HEADER + "\n[1, 2, 3]\n")
         with pytest.raises(TraceFormatError, match="not an object"):
-            read_events(str(path))
+            read_telemetry(str(path))
 
     def test_wrong_header_stays_plain_value_error(self, tmp_path):
         # The stats command relies on a header mismatch being a
@@ -142,7 +148,39 @@ class TestObsLoader:
         path = tmp_path / "events.jsonl"
         path.write_text('{"format": "other"}\n')
         with pytest.raises(ValueError):
-            read_events(str(path))
+            read_telemetry(str(path))
+
+    @pytest.mark.parametrize("record", ["SPAN", "LOG"])
+    @pytest.mark.parametrize("bad_line", [
+        '{"type": "log", "ts": 1, "lev',
+        '{"type": "metric", "value": 3}',
+        '"just a string"',
+    ])
+    def test_corrupt_line_mid_stream_reported_with_its_line(
+        self, tmp_path, record, bad_line
+    ):
+        # Good records on both sides of the corruption: the reader must
+        # stop at the bad line and name it, not silently keep what came
+        # before it and drop the rest.
+        good = getattr(self, record)
+        path = tmp_path / "stream.jsonl"
+        path.write_text(
+            "\n".join([self.HEADER, good, good, bad_line, good, good]) + "\n"
+        )
+        with pytest.raises(TraceFormatError) as info:
+            read_telemetry(str(path))
+        assert info.value.line == 4
+        assert info.value.path == str(path)
+
+    @pytest.mark.parametrize("record", ["SPAN", "LOG"])
+    def test_torn_final_line_is_dropped(self, tmp_path, record):
+        good = getattr(self, record)
+        path = tmp_path / "stream.jsonl"
+        path.write_text(
+            "\n".join([self.HEADER, good, good]) + "\n" + good[:-7]
+        )
+        _, records = read_telemetry(str(path))
+        assert records == [json.loads(good)] * 2
 
 
 class TestCliSurface:
@@ -165,8 +203,8 @@ class TestCliSurface:
     def test_stats_on_truncated_obs_stream(self, tmp_path, capsys, trace_json):
         path = tmp_path / "events.jsonl"
         path.write_text(
-            json.dumps({"format": "repro-obs-v1", "meta": None})
-            + '\n{"round_index": 0, "eng\n'
+            json.dumps({"format": TELEMETRY_SCHEMA, "meta": None})
+            + '\n{"type": "span", "eng\n'
         )
         code, captured = self.run_cli(capsys, "stats", str(path))
         assert code == 2

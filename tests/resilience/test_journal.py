@@ -143,7 +143,7 @@ class TestCrashTolerance:
     def test_foreign_header_refused(self, tmp_path):
         path = str(tmp_path / "bogus.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"format": "repro-obs-v1", "meta": null}\n')
+            handle.write('{"format": "repro-telemetry-v1", "meta": null}\n')
         with pytest.raises(TraceFormatError, match=JOURNAL_SCHEMA):
             SweepJournal.open(path, SCENARIO.to_dict(), resume=True)
 

@@ -13,8 +13,7 @@ import json
 import re
 
 from repro.obs.histogram import DEFAULT_BOUNDS
-from repro.obs.log import read_log
-from repro.obs.spans import read_spans
+from repro.obs.stream import read_telemetry
 from repro.serve.prometheus import exposition, wants_prometheus
 from repro.serve.tracing import REQUEST_ID_HEADER, clean_request_id
 
@@ -95,7 +94,7 @@ class TestRequestSpans:
             )
             assert status == 200
         # close() promoted the .partial file.
-        meta, spans = read_spans(spans_path)
+        meta, spans = read_telemetry(spans_path)
         assert meta["source"] == "repro-serve"
         mine = [
             s for s in spans
@@ -131,7 +130,7 @@ class TestRequestSpans:
                 headers={REQUEST_ID_HEADER: "warm-req"},
             )
             assert headers["X-Repro-Cache"] == "hit"
-        _, spans = read_spans(spans_path)
+        _, spans = read_telemetry(spans_path)
         warm = [
             s for s in spans
             if (s.get("attrs") or {}).get("request_id") == "warm-req"
@@ -158,7 +157,7 @@ class TestAccessLog:
                 headers={REQUEST_ID_HEADER: "logged-req"},
             )
             client.request("GET", "/healthz")
-        meta, records = read_log(log_path)
+        meta, records = read_telemetry(log_path)
         assert meta["source"] == "repro-serve"
         access = [r for r in records if r["event"] == "http.access"]
         assert len(access) == 2
@@ -179,7 +178,7 @@ class TestAccessLog:
         with serving(access_log=log_path) as client:
             status, _, _ = client.request("POST", "/run", {"seed": 1})
             assert status == 400
-        _, records = read_log(log_path)
+        _, records = read_telemetry(log_path)
         access = [r for r in records if r["event"] == "http.access"]
         assert access[0]["fields"]["status"] == 400
         assert access[0]["fields"]["route"] == "run"
