@@ -52,8 +52,6 @@ The file on disk is a *history*, not a single run: ``latest`` holds the
 most recent per-run document (the regression-guard view) and ``runs`` an
 append-only array of ``{git_sha, recorded_at, document}`` entries, one
 per ``repro bench`` invocation — the perf trajectory across commits.
-:func:`write_bench` converts a legacy single-document file into the
-first history entry instead of discarding it.
 """
 
 from __future__ import annotations
@@ -427,15 +425,14 @@ def _git_sha() -> Optional[str]:
 
 
 def load_history(path: str) -> Dict:
-    """Read a bench file into history form, whatever schema is on disk.
+    """Read a ``repro-bench/2`` history file.
 
-    A legacy ``repro-bench/1`` single-run file becomes a one-entry
-    history (its ``generated_at`` as the timestamp, no git SHA — the
-    commit it ran at was never recorded).  Corrupted JSON or a foreign
-    schema raises :class:`~repro.resilience.errors.TraceFormatError`
-    (a :class:`ValueError`) carrying the path and, for syntax errors,
-    the line/offset — so a stale or truncated file fails loudly rather
-    than being silently clobbered by the next bench run.
+    Corrupted JSON or any other top-level schema (a bare
+    ``repro-bench/1`` run document included) raises
+    :class:`~repro.resilience.errors.TraceFormatError` (a
+    :class:`ValueError`) carrying the path and, for syntax errors, the
+    line/offset — so a stale or truncated file fails loudly rather than
+    being silently clobbered by the next bench run.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -462,21 +459,8 @@ def load_history(path: str) -> Dict:
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema == HISTORY_SCHEMA:
         return data
-    if schema == SCHEMA:
-        return {
-            "schema": HISTORY_SCHEMA,
-            "latest": data,
-            "runs": [
-                {
-                    "git_sha": None,
-                    "recorded_at": data.get("generated_at"),
-                    "document": data,
-                }
-            ],
-        }
     raise TraceFormatError(
-        f"{path!r} is not a {SCHEMA}/{HISTORY_SCHEMA} file "
-        f"(schema={schema!r})",
+        f"{path!r} is not a {HISTORY_SCHEMA} file (schema={schema!r})",
         path=path,
     )
 

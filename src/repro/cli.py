@@ -1,64 +1,55 @@
 """Command-line interface: ``repro-gather`` (or ``python -m repro``).
 
-Three subcommands:
+Subcommands:
 
-``simulate``
-    Run one simulation and print the outcome (optionally a round-by-round
-    transcript).
+``simulate``, ``profile``, ``render``
+    Run one scenario and print its outcome (optionally a round
+    transcript, a saved trace and a telemetry stream), print its
+    observability profile (per-kernel calls and wall time, per-class
+    rounds, Weber solver statistics), or draw it as SVG.  The three
+    share one run path with ``--seed`` as the engine seed, so the same
+    flags give the same execution in all three.
 
 ``classify``
-    Generate a workload and print its Section IV classification together
-    with the derived structure (symmetry, quasi-regularity, safe points,
-    Weber point when exactly computable).
+    Generate a workload and print its Section IV classification with
+    the derived structure (symmetry, quasi-regularity, safe points).
+
+``hunt``
+    Run the greedy adversarial search for the bivalent trap.
 
 ``experiment``
     Run one of the E1-E17 experiments (or ``all``) and print its tables;
-    this is how EXPERIMENTS.md was produced.  ``--workers N`` shards the
-    seed sweeps over processes.
-
-``bench``
-    Run the micro + round-throughput benchmarks over every available
-    kernel backend and write ``BENCH_micro.json``.
-
-``check``
-    The reproducibility gate: re-simulate archived traces and verify
-    bit-identical replay (``--replay``, ``--corpus``), run the invariant
-    suite over archives offline (``--invariants``), and diff the two
-    kernel backends on a scenario in subprocesses (``--diff``).
+    this is how EXPERIMENTS.md was produced.
 
 ``sweep``
     Run one scenario over a seed range under the resilient execution
-    layer: per-seed timeouts and bounded retries (``--timeout``,
-    ``--retries``), a crash-safe checkpoint journal (``--journal``) and
-    resumption after a kill (``--resume``).  Results are bit-identical
-    to a sequential run regardless of retries, pool rebuilds or
-    resumption.
+    layer: per-seed timeouts, bounded retries, a crash-safe checkpoint
+    journal and ``--resume``.  Results are bit-identical to a clean
+    sequential run.
 
-``serve``
-    Run the long-lived gathering-as-a-service HTTP daemon: ``POST
-    /run`` and ``POST /sweep`` served through a content-addressed
-    result cache (deterministic simulation makes cache hits exact and
-    permanent), ``GET /healthz`` and ``GET /metrics`` for operations.
-    ``--selftest`` exercises the daemon end to end on an ephemeral
-    port and exits.
+``check``
+    The reproducibility gate: bit-identical replay of archived traces
+    (``--replay``, ``--corpus``), the invariant suite over archives
+    (``--invariants``) and a differential backend check (``--diff``).
 
-``stats``
-    Summarize a ``repro-telemetry-v1`` stream or a trace JSON as
-    tables: per-class round counts, crash/move totals, spread
-    trajectory and run verdicts from the round and run spans, plus
-    per-level and per-event counts and the warn-once keys that fired
-    from the log records.
+``bench``
+    Micro and round-throughput benchmarks over every kernel backend,
+    appended to the ``BENCH_micro.json`` history (``--check`` gates
+    against it).
 
-``trace-export``
-    Convert a ``repro-telemetry-v1`` stream — or, on a synthetic
-    per-round timeline, a trace archive — to Chrome trace-event JSON
-    that Perfetto / ``chrome://tracing`` open directly.  Multiple
-    inputs merge onto one timeline, each on its own track group.
+``serve``, ``serve-store``
+    The gathering-as-a-service HTTP daemon (``POST /run``, ``POST
+    /sweep`` through a content-addressed result cache), and the offline
+    ``verify`` / ``gc`` / ``stats`` audit of its on-disk store.
 
-``profile``
-    Run one scenario with the observability layer on and print the
-    profile: per-kernel call counts and wall time, per-class round
-    counts, Weber solver statistics.
+``stats``, ``trace-export``
+    Summarize a ``repro-telemetry-v1`` stream or a trace archive as
+    tables, or convert either to Chrome trace-event JSON for Perfetto.
+
+The scenario flags are declared once, in :data:`_SCENARIO_FLAGS`: their
+choices are the runner's registries, their defaults the
+:class:`~repro.experiments.runner.Scenario` defaults, and the values
+are checked by the ``Scenario`` constructor like every other way in.
 """
 
 from __future__ import annotations
@@ -69,11 +60,12 @@ import json
 import os
 import sys
 import time
+from dataclasses import MISSING, fields
+from functools import partial
 from typing import List, Optional, Tuple
 
 from .algorithms import ALGORITHMS
 from .core import (
-    ConfigClass,
     Configuration,
     classify,
     quasi_regularity,
@@ -83,38 +75,68 @@ from .core import (
 from .experiments import EXPERIMENTS, run_experiment
 from .experiments.report import Table
 from .experiments.runner import (
+    CRASHES,
+    ENGINES,
+    MOVEMENTS,
+    SCHEDULERS,
     Scenario,
-    make_crashes,
-    make_movement,
-    make_scheduler,
     run_scenario,
 )
 from .geometry import DEFAULT_TOLERANCE, kernels
 from .resilience import ReproError, RunPolicy, SweepJournal, TraceFormatError
-from .sim import Simulation
 from .sim.trace import TraceMeta
 from .workloads import CLASS_GENERATORS, generate
 
 __all__ = ["main", "build_parser"]
 
-#: Registry names accepted by the scenario flags — one list per axis so
-#: the subcommands cannot drift apart from each other or from the
-#: runner's ``_SCHEDULERS`` / ``_MOVEMENTS`` registries.
-_SCHEDULER_CHOICES = [
-    "fsync", "round-robin", "random", "laggard", "half-split", "poisson",
-]
-_MOVEMENT_CHOICES = [
-    "rigid", "adversarial-stop", "random-stop", "collusive-stop",
-    "per-robot-speed",
-]
-
-
-def _add_visibility_flag(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument(
-        "--visibility", type=float, default=None, metavar="R",
+#: Every scenario flag, by dest.  Choices are the runner registries;
+#: a flag without a ``default`` here takes the ``Scenario`` default.
+_SCENARIO_FLAGS = {
+    "workload": dict(default="random", choices=sorted(CLASS_GENERATORS)),
+    "n": dict(type=int, default=8, help="team size"),
+    "algorithm": dict(choices=sorted(ALGORITHMS)),
+    "scheduler": dict(choices=list(SCHEDULERS)),
+    "crashes": dict(choices=list(CRASHES)),
+    "f": dict(type=int, help="fault budget (crashes)"),
+    "movement": dict(choices=list(MOVEMENTS)),
+    "seed": dict(type=int, default=0),
+    "max_rounds": dict(type=int),
+    "engine": dict(
+        choices=list(ENGINES),
+        help="execution model: the paper's ATOM rounds or the ASYNC "
+             "(CORDA) tick engine",
+    ),
+    "visibility": dict(
+        type=float, metavar="R",
         help="finite visibility radius for every LOOK snapshot "
              "(default: unlimited, the paper's model)",
-    )
+    ),
+}
+
+_SCENARIO_DEFAULTS = {
+    f.name: f.default for f in fields(Scenario) if f.default is not MISSING
+}
+
+#: The scenario flags of ``simulate`` and ``profile``.
+_RUN_FLAGS = (
+    "workload n algorithm scheduler crashes f movement seed max_rounds "
+    "engine visibility"
+)
+
+
+def _add_scenario_flags(
+    cmd: argparse.ArgumentParser, names: str, *, hidden: str = "", **defaults
+) -> None:
+    """Add the named scenario flags to ``cmd``; ``defaults`` overrides a
+    flag's default, ``hidden`` names flags left out of ``--help``."""
+    for name in names.split():
+        spec = dict(_SCENARIO_FLAGS[name])
+        if name in defaults:
+            spec["default"] = defaults[name]
+        spec.setdefault("default", _SCENARIO_DEFAULTS.get(name))
+        if name in hidden.split():
+            spec["help"] = argparse.SUPPRESS
+        cmd.add_argument("--" + name.replace("_", "-"), **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,22 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one simulation")
-    sim.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
-    sim.add_argument("--n", type=int, default=8)
-    sim.add_argument("--algorithm", default="wait-free-gather", choices=sorted(ALGORITHMS))
-    sim.add_argument("--scheduler", default="random",
-                     choices=_SCHEDULER_CHOICES)
-    sim.add_argument("--crashes", default="random",
-                     choices=["none", "random", "after-move", "elected"])
-    sim.add_argument("--f", type=int, default=0, help="fault budget (crashes)")
-    sim.add_argument("--movement", default="random-stop",
-                     choices=_MOVEMENT_CHOICES)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--max-rounds", type=int, default=20_000)
-    sim.add_argument("--engine", default="atom", choices=["atom", "async"],
-                     help="execution model: the paper's ATOM rounds or the "
-                          "ASYNC (CORDA) tick engine")
-    _add_visibility_flag(sim)
+    sim.set_defaults(handler=_cmd_simulate)
+    _add_scenario_flags(sim, _RUN_FLAGS)
     sim.add_argument("--trace", action="store_true", help="print the round transcript")
     sim.add_argument(
         "--save-trace",
@@ -161,11 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "'repro trace-export')")
 
     cls = sub.add_parser("classify", help="classify a generated workload")
-    cls.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
-    cls.add_argument("--n", type=int, default=8)
-    cls.add_argument("--seed", type=int, default=0)
+    cls.set_defaults(handler=_cmd_classify)
+    _add_scenario_flags(cls, "workload n seed")
 
     exp = sub.add_parser("experiment", help="run experiments E1-E17")
+    exp.set_defaults(handler=_cmd_experiment)
     exp.add_argument("id", choices=sorted(EXPERIMENTS) + ["all"])
     exp.add_argument("--full", action="store_true",
                      help="full parameter sweep (slow); default is quick mode")
@@ -186,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run micro + round-throughput benchmarks, write JSON",
     )
+    bench.set_defaults(handler=_cmd_bench)
     bench.add_argument("--output", default="BENCH_micro.json",
                        help="path of the JSON report (default: BENCH_micro.json)")
     bench.add_argument("--quick", action="store_true",
@@ -211,10 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
         "hunt",
         help="run the greedy adversarial search for the bivalent trap",
     )
-    hunt.add_argument("--workload", default="unsafe-ray", choices=sorted(CLASS_GENERATORS))
-    hunt.add_argument("--n", type=int, default=8)
-    hunt.add_argument("--algorithm", default="wait-free-gather", choices=sorted(ALGORITHMS))
-    hunt.add_argument("--seed", type=int, default=0)
+    hunt.set_defaults(handler=_cmd_hunt)
+    _add_scenario_flags(hunt, "workload n algorithm seed", workload="unsafe-ray")
     hunt.add_argument("--rounds", type=int, default=40)
 
     check = sub.add_parser(
@@ -230,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
             "reproduction command.  Exits non-zero on any mismatch."
         ),
     )
+    check.set_defaults(handler=_cmd_check)
     check.add_argument("--replay", metavar="TRACE", nargs="+", default=[],
                        help="trace JSON files to re-simulate and compare "
                             "bit for bit")
@@ -245,39 +253,27 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--diff", action="store_true",
                        help="differential backend check for the scenario "
                             "given by the flags below")
-    check.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
-    check.add_argument("--n", type=int, default=8)
-    check.add_argument("--algorithm", default="wait-free-gather", choices=sorted(ALGORITHMS))
-    check.add_argument("--scheduler", default="random",
-                       choices=_SCHEDULER_CHOICES)
-    check.add_argument("--crashes", default="random",
-                       choices=["none", "random", "after-move", "elected"])
-    check.add_argument("--f", type=int, default=0)
-    check.add_argument("--movement", default="random-stop",
-                       choices=_MOVEMENT_CHOICES)
+    _add_scenario_flags(
+        check,
+        "workload n algorithm scheduler crashes f movement max_rounds "
+        "visibility seed",
+        hidden="seed",  # the internal recorder mode's seed
+    )
     check.add_argument("--seeds", type=int, nargs="+", default=[0],
                        metavar="SEED", help="seeds for --diff")
-    check.add_argument("--max-rounds", type=int, default=20_000)
-    _add_visibility_flag(check)
     check.add_argument("--emit-trace", metavar="SCENARIO_JSON", default=None,
                        help=argparse.SUPPRESS)  # internal recorder mode
-    check.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     check.add_argument("--out", metavar="PATH", default=None,
                        help=argparse.SUPPRESS)
 
     render = sub.add_parser(
         "render", help="render a simulation run (or a snapshot) as SVG"
     )
+    render.set_defaults(handler=_cmd_render)
     render.add_argument("output", help="path of the .svg file to write")
-    render.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
-    render.add_argument("--n", type=int, default=8)
-    render.add_argument("--algorithm", default="wait-free-gather", choices=sorted(ALGORITHMS))
-    render.add_argument("--scheduler", default="random",
-                        choices=_SCHEDULER_CHOICES)
-    render.add_argument("--crashes", default="none",
-                        choices=["none", "random", "after-move", "elected"])
-    render.add_argument("--f", type=int, default=0)
-    render.add_argument("--seed", type=int, default=0)
+    _add_scenario_flags(
+        render, "workload n algorithm scheduler crashes f seed", crashes="none"
+    )
     render.add_argument("--snapshot", action="store_true",
                         help="render the initial configuration only (no run)")
 
@@ -298,20 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
             "from the REPRO_CHAOS environment variable."
         ),
     )
-    sweep.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
-    sweep.add_argument("--n", type=int, default=8)
-    sweep.add_argument("--algorithm", default="wait-free-gather", choices=sorted(ALGORITHMS))
-    sweep.add_argument("--scheduler", default="random",
-                       choices=_SCHEDULER_CHOICES)
-    sweep.add_argument("--crashes", default="random",
-                       choices=["none", "random", "after-move", "elected"])
-    sweep.add_argument("--f", type=int, default=0, help="fault budget (crashes)")
-    sweep.add_argument("--movement", default="random-stop",
-                       choices=_MOVEMENT_CHOICES)
-    sweep.add_argument("--max-rounds", type=int, default=20_000)
-    sweep.add_argument("--engine", default="atom", choices=["atom", "async"],
-                       help="execution engine")
-    _add_visibility_flag(sweep)
+    sweep.set_defaults(handler=_cmd_sweep)
+    _add_scenario_flags(
+        sweep,
+        "workload n algorithm scheduler crashes f movement max_rounds "
+        "engine visibility",
+    )
     sweep.add_argument("--seeds", type=int, default=16, metavar="N",
                        help="number of seeds to sweep "
                             "(seed-start .. seed-start+N-1; default 16)")
@@ -368,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
             "worker pool (--workers) survives across requests."
         ),
     )
+    serve.set_defaults(handler=_cmd_serve)
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8642,
@@ -458,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
             "ever replaced atomically."
         ),
     )
+    serve_store.set_defaults(handler=_cmd_serve_store)
     serve_store.add_argument("action", choices=("verify", "gc", "stats"),
                              help="what to do with the store")
     serve_store.add_argument("store", metavar="DIR",
@@ -485,6 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
             "joined by the request id in the span args."
         ),
     )
+    export.set_defaults(handler=_cmd_trace_export)
     export.add_argument("inputs", nargs="+", metavar="INPUT",
                         help="repro-telemetry-v1 JSONL or repro-trace-v2 "
                              "trace JSON (repeatable; merged onto one "
@@ -509,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
             "table and its log records per-level and per-event counts."
         ),
     )
+    stats.set_defaults(handler=_cmd_stats)
     stats.add_argument("input", help="telemetry JSONL or trace JSON path")
 
     prof = sub.add_parser(
@@ -520,20 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
             "round counts, and Weber solver statistics."
         ),
     )
-    prof.add_argument("--workload", default="random", choices=sorted(CLASS_GENERATORS))
-    prof.add_argument("--n", type=int, default=8)
-    prof.add_argument("--algorithm", default="wait-free-gather", choices=sorted(ALGORITHMS))
-    prof.add_argument("--scheduler", default="random",
-                      choices=_SCHEDULER_CHOICES)
-    prof.add_argument("--crashes", default="random",
-                      choices=["none", "random", "after-move", "elected"])
-    prof.add_argument("--f", type=int, default=0)
-    prof.add_argument("--movement", default="random-stop",
-                      choices=_MOVEMENT_CHOICES)
-    prof.add_argument("--seed", type=int, default=0)
-    prof.add_argument("--max-rounds", type=int, default=20_000)
-    prof.add_argument("--engine", default="atom", choices=["atom", "async"])
-    _add_visibility_flag(prof)
+    prof.set_defaults(handler=_cmd_profile)
+    _add_scenario_flags(prof, _RUN_FLAGS)
     prof.add_argument("--backend", default="auto",
                       choices=["auto", "python", "numpy"],
                       help="kernel backend to profile on (auto: numpy when "
@@ -543,17 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also write the run's repro-telemetry-v1 "
                            "stream to PATH")
     return parser
-
-
-def _scenario_meta(scenario: Scenario, seed: int, engine_seed: int) -> dict:
-    """The trace-v2 meta dict a telemetry header carries for joining."""
-    return TraceMeta.for_run(
-        scenario=scenario.to_dict(),
-        seed=seed,
-        engine_seed=engine_seed,
-        tol=DEFAULT_TOLERANCE,
-        engine=scenario.engine,
-    ).to_dict()
 
 
 def _obs_summary_tables(snapshot: dict) -> List[Table]:
@@ -609,47 +578,78 @@ def _obs_summary_tables(snapshot: dict) -> List[Table]:
     return tables
 
 
+def _scenario_from_args(args: argparse.Namespace, **fixed) -> Scenario:
+    """The scenario a command's flags name.
+
+    ``fixed`` supplies the fields the command has no flag for; the rest
+    keep the :class:`Scenario` defaults.  A value the constructor
+    rejects (``--n 0``, ``--visibility -1``) is a usage error.
+    """
+    values = {
+        f.name: getattr(args, f.name)
+        for f in fields(Scenario)
+        if hasattr(args, f.name)
+    }
+    try:
+        return Scenario(**{**values, **fixed})
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from exc
+
+
+def _run_from_args(
+    args: argparse.Namespace,
+    *,
+    observe: bool = False,
+    obs_jsonl: Optional[str] = None,
+    record_trace: bool = False,
+    **fixed,
+):
+    """The one run path of ``simulate``, ``profile`` and ``render``.
+
+    The raw ``--seed`` is the engine seed (the documented ``simulate``
+    behaviour; a saved trace records both seeds, so replay stays
+    exact), hence the three commands run the same execution on the
+    same flags.  ``observe`` or ``obs_jsonl`` runs it with a fresh
+    metrics registry under the observability layer.
+    """
+    scenario = _scenario_from_args(args, **fixed)
+    run = partial(
+        run_scenario,
+        scenario,
+        args.seed,
+        engine_seed=args.seed,
+        record_trace=record_trace,
+    )
+    if not (observe or obs_jsonl):
+        return scenario, run()
+    from . import obs
+
+    obs.metrics.reset()
+    meta = None
+    if obs_jsonl:
+        # The trace-v2 meta block, so the stream joins its trace.
+        meta = TraceMeta.for_run(
+            scenario=scenario.to_dict(),
+            seed=args.seed,
+            engine_seed=args.seed,
+            tol=DEFAULT_TOLERANCE,
+            engine=scenario.engine,
+        ).to_dict()
+    with obs.observability(jsonl=obs_jsonl, meta=meta):
+        return scenario, run()
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import obs
 
-    # Route through the scenario machinery so a saved trace carries the
-    # full meta block and `repro check --replay` accepts it.  The raw
-    # user seed is passed as the engine seed (historical behaviour);
-    # the meta block records both, so replay is still exact.
-    scenario = Scenario(
-        workload=args.workload,
-        n=args.n,
-        algorithm=args.algorithm,
-        scheduler=args.scheduler,
-        crashes=args.crashes,
-        f=args.f,
-        movement=args.movement,
-        max_rounds=args.max_rounds,
-        engine=args.engine,
-        visibility=args.visibility,
-    )
     want_obs = args.obs or bool(args.obs_jsonl)
-    if want_obs:
-        obs.metrics.reset()
-        with obs.observability(
-            jsonl=args.obs_jsonl,
-            meta=_scenario_meta(scenario, args.seed, args.seed)
-            if args.obs_jsonl
-            else None,
-        ):
-            result = run_scenario(
-                scenario,
-                args.seed,
-                engine_seed=args.seed,
-                record_trace=args.trace or bool(args.save_trace),
-            )
-    else:
-        result = run_scenario(
-            scenario,
-            args.seed,
-            engine_seed=args.seed,
-            record_trace=args.trace or bool(args.save_trace),
-        )
+    _, result = _run_from_args(
+        args,
+        observe=want_obs,
+        obs_jsonl=args.obs_jsonl,
+        record_trace=args.trace or bool(args.save_trace),
+    )
     print(f"workload   : {args.workload} (n={args.n}, seed={args.seed})")
     print(f"engine     : {args.engine}")
     print(f"algorithm  : {args.algorithm}")
@@ -910,17 +910,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             )
 
     if args.diff:
-        scenario = Scenario(
-            workload=args.workload,
-            n=args.n,
-            algorithm=args.algorithm,
-            scheduler=args.scheduler,
-            crashes=args.crashes,
-            f=args.f,
-            movement=args.movement,
-            max_rounds=args.max_rounds,
-            visibility=args.visibility,
-        )
+        scenario = _scenario_from_args(args)
         for seed in args.seeds:
             report = differential_check(scenario, seed)
             print(report.describe())
@@ -947,18 +937,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         return 2
 
-    scenario = Scenario(
-        workload=args.workload,
-        n=args.n,
-        algorithm=args.algorithm,
-        scheduler=args.scheduler,
-        crashes=args.crashes,
-        f=args.f,
-        movement=args.movement,
-        max_rounds=args.max_rounds,
-        engine=args.engine,
-        visibility=args.visibility,
-    )
+    scenario = _scenario_from_args(args)
     seeds = list(range(args.seed_start, args.seed_start + args.seeds))
     resumed = 0
     if args.resume and os.path.exists(args.journal):
@@ -1143,7 +1122,7 @@ def _cmd_serve_store(args: argparse.Namespace) -> int:
         else:
             print(
                 f"{report['root']}: {report['checked']} checked, "
-                f"{report['ok']} ok, {report['legacy']} legacy, "
+                f"{report['ok']} ok, "
                 f"{report['corrupt']} corrupt "
                 f"({report['quarantined']} quarantined), "
                 f"{report['unreadable']} unreadable"
@@ -1427,18 +1406,6 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from . import obs
 
-    scenario = Scenario(
-        workload=args.workload,
-        n=args.n,
-        algorithm=args.algorithm,
-        scheduler=args.scheduler,
-        crashes=args.crashes,
-        f=args.f,
-        movement=args.movement,
-        max_rounds=args.max_rounds,
-        engine=args.engine,
-        visibility=args.visibility,
-    )
     backend = args.backend
     if backend == "auto":
         backend = (
@@ -1446,18 +1413,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             if "numpy" in kernels.available_backends()
             else "python"
         )
-    obs.metrics.reset()
-    engine_seed = scenario.engine_seed(args.seed)
     with kernels.backend(backend):
-        with obs.observability(
-            jsonl=args.obs_jsonl,
-            meta=_scenario_meta(scenario, args.seed, engine_seed)
-            if args.obs_jsonl
-            else None,
-        ):
-            start = time.perf_counter()
-            result = run_scenario(scenario, args.seed)
-            elapsed = time.perf_counter() - start
+        start = time.perf_counter()
+        scenario, result = _run_from_args(
+            args, observe=True, obs_jsonl=args.obs_jsonl
+        )
+        elapsed = time.perf_counter() - start
     print(
         f"profile    : {scenario.label()} seed={args.seed} "
         f"backend={backend}"
@@ -1474,26 +1435,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    from .core import Configuration
     from .viz import render_configuration, render_trace
 
-    points = generate(args.workload, args.n, args.seed)
     if args.snapshot:
+        points = generate(args.workload, args.n, args.seed)
         svg = render_configuration(
             Configuration(points), caption=f"{args.workload} n={args.n}"
         )
         verdict = "snapshot"
     else:
-        sim = Simulation(
-            ALGORITHMS[args.algorithm](),
-            points,
-            scheduler=make_scheduler(args.scheduler),
-            crash_adversary=make_crashes(args.crashes, args.f),
-            seed=args.seed,
-            record_trace=True,
-            max_rounds=20_000,
+        # render has no --movement or --max-rounds flag: rigid moves.
+        _, result = _run_from_args(
+            args, record_trace=True, movement="rigid", max_rounds=20_000
         )
-        result = sim.run()
         svg = render_trace(result.trace, result)
         verdict = f"{result.verdict} in {result.rounds} rounds"
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -1505,32 +1459,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "hunt":
-            return _cmd_hunt(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "serve-store":
-            return _cmd_serve_store(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "trace-export":
-            return _cmd_trace_export(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "render":
-            return _cmd_render(args)
+        return args.handler(args)
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; that is not our error.
         return 0
@@ -1545,7 +1474,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # never a traceback for an operational failure.
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -58,10 +57,15 @@ from ..sim import (
     SimulationResult,
 )
 from ..sim.trace import TraceMeta
-from ..workloads import generate
+from ..workloads import CLASS_GENERATORS, generate
 
 __all__ = [
     "Scenario",
+    "SCHEDULERS",
+    "MOVEMENTS",
+    "CRASHES",
+    "ENGINES",
+    "FRAMES",
     "build_simulation",
     "run_scenario",
     "run_batch",
@@ -74,7 +78,7 @@ __all__ = [
 
 #: Scheduler factories by name; fresh instances per run (schedulers may
 #: be stateful).
-_SCHEDULERS: Dict[str, Callable[[], object]] = {
+SCHEDULERS: Dict[str, Callable[[], object]] = {
     "fsync": FullySynchronous,
     "round-robin": RoundRobin,
     "random": lambda: RandomSubset(0.5),
@@ -83,7 +87,7 @@ _SCHEDULERS: Dict[str, Callable[[], object]] = {
     "poisson": lambda: PoissonScheduler(0.5),
 }
 
-_MOVEMENTS: Dict[str, Callable[[], object]] = {
+MOVEMENTS: Dict[str, Callable[[], object]] = {
     "rigid": RigidMovement,
     "adversarial-stop": lambda: AdversarialStop(0.2),
     "random-stop": lambda: RandomStop(0.05),
@@ -94,33 +98,51 @@ _MOVEMENTS: Dict[str, Callable[[], object]] = {
     "per-robot-speed": lambda: PerRobotSpeed((1.0, 0.25, 0.05)),
 }
 
+#: Crash adversary factories by name, called with the fault budget f.
+CRASHES: Dict[str, Callable[[int], object]] = {
+    "none": lambda f: NoCrashes(),
+    "random": lambda f: RandomCrashes(f=f, rate=0.25),
+    "after-move": lambda f: CrashAfterMove(f=f),
+    "elected": lambda f: CrashElected(f=f),
+}
+
+#: Execution models: the paper's semi-synchronous ATOM rounds, or the
+#: ASYNC (CORDA) phased activation.
+ENGINES = ("atom", "async")
+
+#: LOOK frames: ``"identity"`` (global-frame LOOK, one destination per
+#: occupied point) or ``"random"`` (per-robot private-frame LOOK); see
+#: :mod:`repro.sim.engine`.
+FRAMES = ("identity", "random")
+
 
 def make_scheduler(name: str):
     """Fresh scheduler instance by registry name."""
-    return _SCHEDULERS[name]()
+    return SCHEDULERS[name]()
 
 
 def make_movement(name: str):
     """Fresh movement model instance by registry name."""
-    return _MOVEMENTS[name]()
+    return MOVEMENTS[name]()
 
 
 def make_crashes(kind: str, f: int):
-    """Fresh crash adversary: ``none | random | after-move | elected``."""
-    if f == 0 or kind == "none":
-        return NoCrashes()
-    if kind == "random":
-        return RandomCrashes(f=f, rate=0.25)
-    if kind == "after-move":
-        return CrashAfterMove(f=f)
-    if kind == "elected":
-        return CrashElected(f=f)
-    raise ValueError(f"unknown crash adversary kind {kind!r}")
+    """Fresh crash adversary by registry name (``f == 0`` means none)."""
+    if kind not in CRASHES:
+        raise ValueError(f"unknown crash adversary kind {kind!r}")
+    return NoCrashes() if f == 0 else CRASHES[kind](f)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One cell of an experiment matrix."""
+    """One cell of an experiment matrix — the one scenario schema.
+
+    Every layer that names a scenario (the CLI flags, the serve
+    protocol, trace archives, sweep journals) builds one of these, and
+    the constructor rejects bad values with :class:`ValueError`: names
+    outside their registry, non-integer or out-of-range sizes, a
+    non-positive visibility radius.
+    """
 
     workload: str
     n: int
@@ -130,20 +152,56 @@ class Scenario:
     f: int = 0
     movement: str = "random-stop"
     max_rounds: int = 20_000
-    #: ``"identity"`` (global-frame LOOK, one destination per occupied
-    #: point) or ``"random"`` (per-robot private-frame LOOK); see
-    #: :mod:`repro.sim.engine`.
+    #: One of :data:`FRAMES`.
     frames: str = "identity"
     halt_on_bivalent: bool = True
-    #: Execution model: ``"atom"`` (the paper's semi-synchronous rounds)
-    #: or ``"async"`` (the CORDA tick engine; ``max_rounds`` then bounds
-    #: ticks).  Part of the scenario — and therefore of the trace
-    #: schema — so archived ASYNC runs replay on the right engine.
+    #: One of :data:`ENGINES`.  Part of the scenario — and therefore of
+    #: the trace schema — so archived ASYNC runs replay on the right
+    #: engine; under ``"async"`` ``max_rounds`` bounds scheduler ticks.
     engine: str = "atom"
     #: Finite visibility radius threaded into every LOOK snapshot
     #: (``None`` = the paper's unlimited visibility).  A new field with a
     #: default, so traces archived before it existed keep loading.
     visibility: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for name, registry in (
+            ("workload", CLASS_GENERATORS),
+            ("algorithm", ALGORITHMS),
+            ("scheduler", SCHEDULERS),
+            ("crashes", CRASHES),
+            ("movement", MOVEMENTS),
+            ("frames", FRAMES),
+            ("engine", ENGINES),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, str) or value not in registry:
+                raise ValueError(
+                    f"unknown {name} {value!r}; known: {', '.join(registry)}"
+                )
+        for name, low in (("n", 1), ("f", 0), ("max_rounds", 1)):
+            value = getattr(self, name)
+            # bool is an int subclass; "n": true is a bug, not a 1.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(
+                    f"{name} must be an integer, got {type(value).__name__}"
+                )
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        vis = self.visibility
+        if vis is not None and (
+            isinstance(vis, bool)
+            or not isinstance(vis, (int, float))
+            or not vis > 0
+        ):
+            raise ValueError(
+                f"visibility must be a positive radius or None, got {vis!r}"
+            )
+        if not isinstance(self.halt_on_bivalent, bool):
+            raise ValueError(
+                "halt_on_bivalent must be a boolean, got "
+                f"{type(self.halt_on_bivalent).__name__}"
+            )
 
     def label(self) -> str:
         prefix = "" if self.engine == "atom" else f"{self.engine}/"
@@ -164,7 +222,8 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         """Inverse of :meth:`to_dict`; rejects unknown keys loudly so a
-        trace written by a newer schema never half-loads."""
+        trace written by a newer schema never half-loads (bad values are
+        the constructor's to reject)."""
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -190,7 +249,8 @@ def build_simulation(
     function, so anything that influences the execution must flow from
     the :class:`Scenario` (plus the two seeds) — never from ambient
     state.  ``engine_seed`` defaults to :meth:`Scenario.engine_seed`;
-    the CLI ``simulate`` command passes the raw user seed instead.
+    the CLI ``simulate``, ``profile`` and ``render`` commands pass the raw
+    ``--seed`` instead.
     ``scenario.engine`` selects the execution model; for ``"async"``
     the scenario's ``max_rounds`` bounds scheduler ticks.
     """
@@ -199,14 +259,13 @@ def build_simulation(
     resolved_seed = (
         scenario.engine_seed(seed) if engine_seed is None else engine_seed
     )
-    if scenario.engine == "async":
-        # Every ASYNC cycle needs two activations, hence the looser
-        # fairness bound.
-        phased = dict(activation=PhasedActivation(), fairness_bound=64)
-    elif scenario.engine == "atom":
-        phased = {}
-    else:
-        raise ValueError(f"unknown engine {scenario.engine!r}")
+    # Every ASYNC cycle needs two activations, hence the looser
+    # fairness bound.
+    phased = (
+        dict(activation=PhasedActivation(), fairness_bound=64)
+        if scenario.engine == "async"
+        else {}
+    )
     return Simulation(
         algorithm,
         points,
@@ -354,17 +413,13 @@ def parallel_map(
     ``on_result(index, value)`` fires as items complete (completion
     order) — the checkpoint journal of :func:`run_batch` hangs off it.
     ``on_failure(key, exc, strike)`` fires per failed attempt — the
-    sweep dashboard's retry/timeout counters hang off it.  A plain
-    legacy :class:`concurrent.futures.ProcessPoolExecutor` is still
-    accepted as ``pool`` and used via ``pool.map`` (no resilience).
+    sweep dashboard's retry/timeout counters hang off it.
     """
     items = list(items)
     call = partial(_call_pinned, fn, kernels.get_backend())
     if chaos is None:
         chaos = ChaosPolicy.from_env()
-    if isinstance(pool, ProcessPoolExecutor):
-        return list(pool.map(call, items))
-    if isinstance(pool, ResilientExecutor):
+    if pool is not None:
         return pool.map_resilient(
             call, items, keys=keys, chaos=chaos, on_result=on_result,
             on_failure=on_failure, policy=policy,

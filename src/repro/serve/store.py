@@ -107,31 +107,21 @@ def encode_entry(body: str) -> str:
 def decode_entry(raw: str) -> Optional[str]:
     """Envelope -> verified body, or ``None`` when the bytes are corrupt.
 
-    A file written before the envelope existed (no parseable
-    ``repro-store/1`` header) is accepted as a legacy raw body — an
-    upgraded daemon must keep serving a store populated by an old one —
-    but anything *claiming* to be an envelope must verify.
+    Anything without a valid ``repro-store/1`` header line whose digest
+    matches the body is corrupt: a damaged header must never turn the
+    whole file, header included, into a served body.
     """
     header_line, sep, body = raw.partition("\n")
-    if not sep:
-        # Single line: either a legacy raw body or a truncated envelope.
-        try:
-            document = json.loads(header_line)
-        except ValueError:
-            return None
-        if (
-            isinstance(document, dict)
-            and document.get("schema") == STORE_SCHEMA
-        ):
-            return None  # header without its body: truncated
-        return raw  # legacy single-line raw body
     try:
         header = json.loads(header_line)
     except ValueError:
-        header = None
-    if not isinstance(header, dict) or header.get("schema") != STORE_SCHEMA:
-        return raw  # legacy raw body that happens to span lines
-    if header.get("sha256") != _body_digest(body):
+        return None
+    if (
+        not sep
+        or not isinstance(header, dict)
+        or header.get("schema") != STORE_SCHEMA
+        or header.get("sha256") != _body_digest(body)
+    ):
         return None
     return body
 
@@ -355,7 +345,7 @@ class ResultStore:
         quarantine directory exactly like the serving path would; with
         ``repair=False`` it only reports.  Returns a summary document.
         """
-        checked = corrupt = legacy = unreadable = 0
+        checked = corrupt = unreadable = 0
         bad_keys = []
         for key, path in self._iter_disk_keys():
             checked += 1
@@ -365,22 +355,16 @@ class ResultStore:
             except OSError:
                 unreadable += 1
                 continue
-            body = decode_entry(raw)
-            if body is None:
+            if decode_entry(raw) is None:
                 corrupt += 1
                 bad_keys.append(key)
                 if repair:
                     self._quarantine(key)
-            elif body == raw:
-                # decode returned the input unchanged: a pre-envelope
-                # legacy entry that carries no digest to verify.
-                legacy += 1
         return {
             "root": self.root,
             "checked": checked,
             "ok": checked - corrupt - unreadable,
             "corrupt": corrupt,
-            "legacy": legacy,
             "unreadable": unreadable,
             "quarantined": corrupt if repair else 0,
             "corrupt_keys": bad_keys,

@@ -169,8 +169,8 @@ def save_trace(trace: Trace, path: str, indent: Optional[int] = 2) -> None:
 def _require_replayable(meta: Optional[TraceMeta]) -> TraceMeta:
     if meta is None:
         raise ValueError(
-            "trace has no meta block (v1 archive?); only v2 traces "
-            "recorded through the scenario runner can be replayed"
+            "trace has no meta block; only traces recorded through "
+            "the scenario runner can be replayed"
         )
     if meta.scenario is None or meta.seed is None:
         raise ValueError(

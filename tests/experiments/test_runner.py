@@ -4,6 +4,11 @@ import pytest
 
 from repro.experiments import EXPERIMENTS
 from repro.experiments.runner import (
+    CRASHES,
+    ENGINES,
+    FRAMES,
+    MOVEMENTS,
+    SCHEDULERS,
     Scenario,
     executor,
     make_crashes,
@@ -47,6 +52,53 @@ class TestFactories:
 
 
 class TestScenario:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("workload", "nope"),
+            ("workload", 3),
+            ("algorithm", "nope"),
+            ("scheduler", "nope"),
+            ("crashes", "nope"),
+            ("movement", "nope"),
+            ("engine", "batched"),
+            ("frames", "mirrored"),
+            ("n", "8"),
+            ("n", 8.0),
+            ("n", True),
+            ("n", 0),
+            ("f", -1),
+            ("f", 1.5),
+            ("max_rounds", 0),
+            ("max_rounds", None),
+            ("visibility", 0),
+            ("visibility", -2.5),
+            ("visibility", "far"),
+            ("visibility", True),
+            ("visibility", float("nan")),
+            ("halt_on_bivalent", 1),
+            ("halt_on_bivalent", "yes"),
+        ],
+    )
+    def test_bad_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Scenario(**{"workload": "random", "n": 8, field: value})
+        with pytest.raises(ValueError, match=field):
+            Scenario.from_dict({"workload": "random", "n": 8, field: value})
+
+    def test_every_registry_name_accepted(self):
+        for name in SCHEDULERS:
+            Scenario(workload="random", n=4, scheduler=name)
+        for name in MOVEMENTS:
+            Scenario(workload="random", n=4, movement=name)
+        for name in CRASHES:
+            Scenario(workload="random", n=4, crashes=name)
+        for name in ENGINES:
+            Scenario(workload="random", n=4, engine=name)
+        for name in FRAMES:
+            Scenario(workload="random", n=4, frames=name)
+        assert Scenario(workload="random", n=1, visibility=2).visibility == 2
+
     def test_label_mentions_key_parameters(self):
         s = Scenario(workload="random", n=8, f=3)
         label = s.label()

@@ -131,13 +131,14 @@ class TestErrorMapping:
             assert status == 404
             assert json.loads(raw)["kind"] == "error"
 
-    def test_failing_run_surfaces_as_structured_500(self):
-        # Scenario.from_dict accepts any algorithm string; the registry
-        # lookup fails at run time, is charged against the retry budget,
-        # and surfaces as WorkerCrashError -> structured 500 JSON, never
-        # a dead socket or a traceback.
+    def test_failing_run_surfaces_as_structured_500(self, monkeypatch):
+        # A run that raises on every attempt (chaos error injection) is
+        # charged against the retry budget and surfaces as
+        # WorkerCrashError -> structured 500 JSON, never a dead socket
+        # or a traceback.
+        monkeypatch.setenv("REPRO_CHAOS", "seed=1,error=1.0")
         with serving(policy=RunPolicy(retries=0, backoff=0.0)) as client:
-            status, _, raw = client.run(dict(SCENARIO, algorithm="nope"))
+            status, _, raw = client.run(SCENARIO)
             body = json.loads(raw)
             assert status == 500
             assert body["kind"] == "error"

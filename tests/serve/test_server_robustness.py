@@ -11,7 +11,10 @@ import json
 import threading
 import time
 
-from repro.resilience import ChaosPolicy
+import pytest
+
+from repro.experiments import runner
+from repro.resilience import ChaosPolicy, RunPolicy
 
 from .client import serving
 
@@ -136,6 +139,42 @@ class TestReadiness:
             # One successful computation is proof of recovery.
             assert client.run(SCENARIO, seed=1)[0] == 200
             assert client.request("GET", "/readyz")[0] == 200
+
+    @pytest.mark.parametrize("endpoint", ["/run", "/sweep"])
+    def test_invalid_scenario_values_never_reach_compute(
+        self, monkeypatch, endpoint
+    ):
+        # Bad values are the client's error: a 400 before admission,
+        # the cache, retries or the breaker — so even a threshold-1
+        # breaker stays closed and /readyz stays 200.
+        calls = []
+        real = runner.parallel_map
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "parallel_map", counting)
+        bad = [
+            dict(SCENARIO, scheduler="nope"),
+            dict(SCENARIO, n="8"),
+            dict(SCENARIO, visibility=0),
+        ]
+        policy = RunPolicy(retries=2, backoff=0.0)
+        with serving(breaker_threshold=1, policy=policy) as client:
+            for scenario in bad:
+                status, _, raw = client.request(
+                    "POST", endpoint, {"scenario": scenario, "seed_count": 2}
+                )
+                assert status == 400, raw
+                assert json.loads(raw)["error"] == "TraceFormatError"
+            assert calls == []
+            assert client.server.breaker.snapshot()["recent_failures"] == 0
+            assert client.server.store.counters()["misses"] == 0
+            assert client.request("GET", "/readyz")[0] == 200
+            # The counter is live: a valid request does compute.
+            assert client.run(SCENARIO, seed=1)[0] == 200
+            assert len(calls) == 1
 
     def test_metrics_robustness_block_shape(self):
         with serving(max_inflight=8, sweep_weight=3) as client:

@@ -55,12 +55,25 @@ class TestEnvelope:
         header_only = encode_entry(BODY).split("\n", 1)[0]
         assert decode_entry(header_only) is None
 
-    def test_legacy_raw_bodies_still_decode(self):
-        # Entries written before the envelope existed carry no header;
-        # an upgraded daemon must keep serving them verbatim.
-        assert decode_entry(BODY.rstrip("\n")) == BODY.rstrip("\n")
-        multiline = '{"a":1}\n{"b":2}\n'
-        assert decode_entry(multiline) == multiline
+    def test_headerless_bodies_are_rejected(self):
+        # A raw body without the repro-store/1 header has no digest to
+        # verify, so it is corrupt, never served verbatim.
+        assert decode_entry(BODY.rstrip("\n")) is None
+        assert decode_entry('{"a":1}\n{"b":2}\n') is None
+
+    @pytest.mark.parametrize(
+        "flip",
+        [
+            lambda raw: raw.replace('"schema"', '"schemb"', 1),
+            lambda raw: "X" + raw[1:],
+            lambda raw: raw.replace(STORE_SCHEMA, "repro-store/2", 1),
+        ],
+        ids=["key", "first-byte", "schema"],
+    )
+    def test_corrupt_header_is_rejected(self, flip):
+        raw = flip(encode_entry(BODY))
+        assert raw != encode_entry(BODY)
+        assert decode_entry(raw) is None
 
 
 class TestSelfHealing:
@@ -79,6 +92,25 @@ class TestSelfHealing:
         assert len(os.listdir(quarantine)) == 1
 
         # The caller recomputes and the key serves again, verified.
+        reopened.put(KEY_A, BODY)
+        assert ResultStore(store.root).get(KEY_A) == BODY
+
+    def test_header_flip_is_quarantined_not_served(self, tmp_path):
+        # One flipped byte in the header line used to turn the whole
+        # file, header included, into a "verified" body served with a
+        # 200.  It is a corrupt entry: quarantined, then recomputed.
+        store = fresh_disk_store(tmp_path)
+        store.put(KEY_A, BODY)
+        path = store._path(KEY_A)
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = handle.read()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(raw.replace('"schema"', '"schemb"', 1))
+
+        reopened = ResultStore(store.root)
+        assert reopened.get(KEY_A) is None
+        assert reopened.quarantined == 1
+        assert not os.path.exists(path)
         reopened.put(KEY_A, BODY)
         assert ResultStore(store.root).get(KEY_A) == BODY
 
@@ -155,15 +187,18 @@ class TestOfflineAudits:
         assert not os.path.exists(store._path(KEY_A))
         assert ResultStore(store.root).verify_disk()["corrupt"] == 0
 
-    def test_verify_counts_legacy_entries(self, tmp_path):
+    def test_verify_quarantines_headerless_entries(self, tmp_path):
         store = fresh_disk_store(tmp_path)
         path = store._path(KEY_A)
         os.makedirs(os.path.dirname(path))
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(BODY)  # raw pre-envelope entry
+            handle.write(BODY)  # a body with no envelope
         report = store.verify_disk()
-        assert report["legacy"] == 1
-        assert report["corrupt"] == 0
+        assert "legacy" not in report
+        assert report["corrupt"] == 1
+        assert report["quarantined"] == 1
+        assert report["corrupt_keys"] == [KEY_A]
+        assert not os.path.exists(path)
 
     def test_gc_removes_quarantine_and_temp_debris(self, tmp_path):
         store = fresh_disk_store(tmp_path)

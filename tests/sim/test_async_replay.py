@@ -49,14 +49,12 @@ class TestEngineDispatch:
         assert sim.scheduler.bound == 64
 
     def test_unknown_engine_rejected(self):
-        bad = Scenario(workload="random", n=4, engine="warp")
         with pytest.raises(ValueError, match="warp"):
-            build_simulation(bad, 0)
+            Scenario(workload="random", n=4, engine="warp")
 
     def test_only_atom_and_async_engines(self):
-        bad = Scenario(workload="random", n=4, engine="batched")
         with pytest.raises(ValueError, match="batched"):
-            build_simulation(bad, 0)
+            Scenario(workload="random", n=4, engine="batched")
 
     def test_engine_field_round_trips_through_scenario_dict(self):
         assert Scenario.from_dict(ASYNC_SMALL.to_dict()) == ASYNC_SMALL

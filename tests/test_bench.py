@@ -13,6 +13,7 @@ from repro.bench import (
     write_bench,
 )
 from repro.geometry import kernels
+from repro.resilience import TraceFormatError
 
 
 def _doc(micro_s=0.010, round_s=0.100, lcm_cycle_s=0.050,
@@ -103,17 +104,18 @@ class TestBenchDocument:
         stamps = [run["recorded_at"] for run in payload["runs"]]
         assert stamps == ["2026-01-01T00:00:00", "2026-01-02T00:00:00"]
 
-    def test_legacy_single_document_becomes_first_entry(self, tmp_path):
+    def test_single_run_document_is_refused(self, tmp_path):
+        # A bare repro-bench/1 run document is not a history: refused,
+        # and left on disk rather than clobbered by the next write.
         path = tmp_path / "bench.json"
-        legacy = {"schema": SCHEMA, "generated_at": "2025-12-31T00:00:00"}
-        path.write_text(json.dumps(legacy))
+        single = {"schema": SCHEMA, "generated_at": "2025-12-31T00:00:00"}
+        path.write_text(json.dumps(single))
+        with pytest.raises(TraceFormatError, match=HISTORY_SCHEMA):
+            load_history(str(path))
         fresh = {"schema": SCHEMA, "generated_at": "2026-01-01T00:00:00"}
-        write_bench(fresh, str(path))
-        payload = json.loads(path.read_text())
-        assert len(payload["runs"]) == 2
-        assert payload["runs"][0]["document"] == legacy
-        assert payload["runs"][0]["git_sha"] is None
-        assert payload["latest"] == fresh
+        with pytest.raises(TraceFormatError):
+            write_bench(fresh, str(path))
+        assert json.loads(path.read_text()) == single
 
     def test_foreign_file_fails_loudly(self, tmp_path):
         path = tmp_path / "bench.json"

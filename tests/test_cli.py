@@ -1,8 +1,178 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+
+WORKLOADS = (
+    "asymmetric", "biangular", "bivalent", "gathered", "linear-interval",
+    "linear-unique", "multiple", "near-bivalent", "qr-occupied-center",
+    "random", "regular-polygon", "unsafe-ray",
+)
+ALGORITHMS = (
+    "centroid", "naive-leader", "sequential", "wait-free-gather",
+    "weber-numeric",
+)
+SCHEDULERS = (
+    "fsync", "round-robin", "random", "laggard", "half-split", "poisson",
+)
+CRASHES = ("none", "random", "after-move", "elected")
+MOVEMENTS = (
+    "rigid", "adversarial-stop", "random-stop", "collusive-stop",
+    "per-robot-speed",
+)
+EXPERIMENT_IDS = tuple(sorted(f"e{i}" for i in range(1, 18))) + ("all",)
+
+#: The scenario flags of simulate and profile: (dest, default, choices).
+RUN_FLAGS = {
+    ("algorithm", "wait-free-gather", ALGORITHMS),
+    ("crashes", "random", CRASHES),
+    ("engine", "atom", ("atom", "async")),
+    ("f", 0, None),
+    ("max_rounds", 20000, None),
+    ("movement", "random-stop", MOVEMENTS),
+    ("n", 8, None),
+    ("scheduler", "random", SCHEDULERS),
+    ("seed", 0, None),
+    ("visibility", None, None),
+    ("workload", "random", WORKLOADS),
+}
+
+#: Every subcommand's (dest, default, choices) set, as shipped: the
+#: flag table must not add, drop or re-default an option.
+PARSER_PINS = {
+    "simulate": RUN_FLAGS | {
+        ("obs", False, None),
+        ("obs_jsonl", None, None),
+        ("save_trace", None, None),
+        ("trace", False, None),
+    },
+    "profile": RUN_FLAGS | {
+        ("backend", "auto", ("auto", "python", "numpy")),
+        ("obs_jsonl", None, None),
+    },
+    "classify": {
+        ("n", 8, None),
+        ("seed", 0, None),
+        ("workload", "random", WORKLOADS),
+    },
+    "hunt": {
+        ("algorithm", "wait-free-gather", ALGORITHMS),
+        ("n", 8, None),
+        ("rounds", 40, None),
+        ("seed", 0, None),
+        ("workload", "unsafe-ray", WORKLOADS),
+    },
+    "check": {
+        ("algorithm", "wait-free-gather", ALGORITHMS),
+        ("backend", "recorded", ("recorded", "python", "numpy", "both")),
+        ("corpus", None, None),
+        ("crashes", "random", CRASHES),
+        ("diff", False, None),
+        ("emit_trace", None, None),
+        ("f", 0, None),
+        ("invariants", (), None),
+        ("max_rounds", 20000, None),
+        ("movement", "random-stop", MOVEMENTS),
+        ("n", 8, None),
+        ("out", None, None),
+        ("replay", (), None),
+        ("scheduler", "random", SCHEDULERS),
+        ("seed", 0, None),
+        ("seeds", (0,), None),
+        ("visibility", None, None),
+        ("workload", "random", WORKLOADS),
+    },
+    "render": {
+        ("algorithm", "wait-free-gather", ALGORITHMS),
+        ("crashes", "none", CRASHES),
+        ("f", 0, None),
+        ("n", 8, None),
+        ("output", None, None),
+        ("scheduler", "random", SCHEDULERS),
+        ("seed", 0, None),
+        ("snapshot", False, None),
+        ("workload", "random", WORKLOADS),
+    },
+    "sweep": RUN_FLAGS - {("seed", 0, None)} | {
+        ("archive_failures", None, None),
+        ("backoff", 0.1, None),
+        ("journal", None, None),
+        ("live", False, None),
+        ("metrics", None, None),
+        ("obs", False, None),
+        ("resume", False, None),
+        ("retries", 2, None),
+        ("seed_start", 0, None),
+        ("seeds", 16, None),
+        ("timeout", None, None),
+        ("workers", None, None),
+    },
+    "experiment": {
+        ("archive_failures", None, None),
+        ("csv", False, None),
+        ("full", False, None),
+        ("id", None, EXPERIMENT_IDS),
+        ("obs", False, None),
+        ("workers", None, None),
+    },
+    "bench": {
+        ("check", False, None),
+        ("output", "BENCH_micro.json", None),
+        ("quick", False, None),
+        ("repeats", 3, None),
+        ("sizes", None, None),
+        ("threshold", 0.25, None),
+        ("window", 5, None),
+    },
+    "serve": {
+        ("access_log", None, None),
+        ("breaker_cooldown", 10.0, None),
+        ("breaker_threshold", 5, None),
+        ("breaker_window", 30.0, None),
+        ("drain_timeout", 10.0, None),
+        ("host", "127.0.0.1", None),
+        ("max_inflight", None, None),
+        ("memory_entries", 4096, None),
+        ("no_cache", False, None),
+        ("port", 8642, None),
+        ("request_deadline", None, None),
+        ("retries", 2, None),
+        ("selftest", False, None),
+        ("selftest_timeout", 120.0, None),
+        ("store", None, None),
+        ("sweep_weight", 4, None),
+        ("timeout", None, None),
+        ("trace_jsonl", None, None),
+        ("workers", None, None),
+    },
+    "serve-store": {
+        ("action", None, ("verify", "gc", "stats")),
+        ("json", False, None),
+        ("no_repair", False, None),
+        ("store", None, None),
+    },
+    "trace-export": {
+        ("inputs", None, None),
+        ("output", None, None),
+        ("pid", 0, None),
+    },
+    "stats": {("input", None, None)},
+}
+
+
+def _flag_set(cmd: argparse.ArgumentParser) -> set:
+    def frozen(value):
+        return tuple(value) if isinstance(value, list) else value
+
+    return {
+        (a.dest, frozen(a.default), frozen(a.choices))
+        for a in cmd._actions
+        if a.dest != "help"
+    }
 
 
 class TestParser:
@@ -18,6 +188,83 @@ class TestParser:
     def test_bad_workload_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--workload", "nope"])
+
+    def test_every_subcommand_keeps_its_flags(self):
+        subparsers = next(
+            a
+            for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(subparsers.choices) == set(PARSER_PINS)
+        for name, cmd in subparsers.choices.items():
+            assert _flag_set(cmd) == PARSER_PINS[name], name
+
+    def test_bad_scenario_value_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "0"])
+        assert exc.value.code == 2
+        assert "n must be >= 1" in capsys.readouterr().err
+
+
+class TestOneRunPath:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seed", "3"],
+            ["--workload", "asymmetric", "--n", "6", "--f", "2",
+             "--crashes", "after-move", "--scheduler", "round-robin",
+             "--movement", "rigid", "--seed", "3"],
+            ["--workload", "multiple", "--n", "7", "--f", "3",
+             "--engine", "async", "--seed", "5"],
+        ],
+    )
+    def test_simulate_and_profile_agree_on_rounds(self, capsys, flags):
+        main(["simulate", *flags])
+        simulated = re.search(
+            r"^rounds     : (\d+)$", capsys.readouterr().out, re.M
+        )
+        main(["profile", *flags])
+        profiled = re.search(
+            r"^verdict    : \w+ in (\d+) rounds", capsys.readouterr().out, re.M
+        )
+        assert simulated and profiled
+        assert simulated.group(1) == profiled.group(1)
+
+    def test_render_matches_run_scenario_and_direct_engine(self, tmp_path):
+        from repro.algorithms import ALGORITHMS as REGISTRY
+        from repro.experiments.runner import (
+            Scenario,
+            make_crashes,
+            make_scheduler,
+            run_scenario,
+        )
+        from repro.sim import Simulation
+        from repro.viz import render_trace
+        from repro.workloads import generate
+
+        target = tmp_path / "run.svg"
+        assert main(
+            ["render", str(target), "--workload", "multiple", "--n", "7",
+             "--scheduler", "round-robin", "--crashes", "after-move",
+             "--f", "2", "--seed", "2"]
+        ) == 0
+        scenario = Scenario(
+            workload="multiple", n=7, scheduler="round-robin",
+            crashes="after-move", f=2, movement="rigid", max_rounds=20_000,
+        )
+        result = run_scenario(scenario, 2, engine_seed=2, record_trace=True)
+        assert target.read_text() == render_trace(result.trace, result)
+        # ... and to the engine built by hand, as render used to do.
+        direct = Simulation(
+            REGISTRY["wait-free-gather"](),
+            generate("multiple", 7, 2),
+            scheduler=make_scheduler("round-robin"),
+            crash_adversary=make_crashes("after-move", 2),
+            seed=2,
+            record_trace=True,
+            max_rounds=20_000,
+        ).run()
+        assert target.read_text() == render_trace(direct.trace, direct)
 
 
 class TestSimulate:
