@@ -1437,19 +1437,28 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     from .viz import render_configuration, render_trace
 
+    caption = f"{args.workload} n={args.n}"
     if args.snapshot:
-        points = generate(args.workload, args.n, args.seed)
-        svg = render_configuration(
-            Configuration(points), caption=f"{args.workload} n={args.n}"
-        )
+        scenario = _scenario_from_args(args)
+        points = generate(scenario.workload, scenario.n, args.seed)
+        svg = render_configuration(Configuration(points), caption=caption)
         verdict = "snapshot"
     else:
         # render has no --movement or --max-rounds flag: rigid moves.
         _, result = _run_from_args(
             args, record_trace=True, movement="rigid", max_rounds=20_000
         )
-        svg = render_trace(result.trace, result)
         verdict = f"{result.verdict} in {result.rounds} rounds"
+        if len(result.trace):
+            svg = render_trace(result.trace, result)
+        else:
+            # Halted before its first step (already gathered, or
+            # bivalent): the initial configuration is the whole run.
+            positions = result.final_positions
+            svg = render_configuration(
+                Configuration([positions[rid] for rid in sorted(positions)]),
+                caption=f"{caption} | verdict={verdict}",
+            )
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(svg)
     print(f"wrote {args.output} ({verdict})")

@@ -57,7 +57,7 @@ from ..sim import (
     SimulationResult,
 )
 from ..sim.trace import TraceMeta
-from ..workloads import CLASS_GENERATORS, generate
+from ..workloads import CLASS_GENERATORS, check_size, generate
 
 __all__ = [
     "Scenario",
@@ -140,8 +140,9 @@ class Scenario:
     Every layer that names a scenario (the CLI flags, the serve
     protocol, trace archives, sweep journals) builds one of these, and
     the constructor rejects bad values with :class:`ValueError`: names
-    outside their registry, non-integer or out-of-range sizes, a
-    non-positive visibility radius.
+    outside their registry, non-integer or out-of-range sizes, a team
+    size its workload cannot build (``check_size``), a non-positive
+    visibility radius.
     """
 
     workload: str
@@ -188,6 +189,7 @@ class Scenario:
                 )
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+        check_size(self.workload, self.n)
         vis = self.visibility
         if vis is not None and (
             isinstance(vis, bool)

@@ -13,9 +13,9 @@ small, independently testable mechanisms, all here:
   cache lookups and compute all draw from the same clock, so a wedged
   seed cannot hold its admission slot forever.
 * :class:`SingleFlight` — duplicate coalescing.  ``N`` concurrent
-  ``POST /run``\\ s for the same content address are one computation and
-  ``N`` byte-identical responses; determinism makes the leader's bytes
-  *the* answer for every follower.
+  requests for the same content address (``/run`` seeds or ``/sweep``
+  seeds alike) are one computation and ``N`` byte-identical bodies;
+  determinism makes the leader's bytes *the* answer for every follower.
 * :class:`CircuitBreaker` — a rolling-window crash counter that flips
   readiness when the worker pool keeps dying, so a load balancer stops
   routing to a daemon that cannot currently compute.
@@ -214,13 +214,20 @@ class SingleFlight:
         flight.done.set()
 
     @staticmethod
-    def wait(flight: _Flight, deadline: Deadline) -> str:
-        """Follower-side: the leader's body, its error, or a 504."""
+    def wait(flight: _Flight, deadline: Deadline) -> Optional[str]:
+        """Follower-side: the leader's body, its error, or a 504.
+
+        ``None`` when the leader ran out of its *own* deadline: that
+        budget was not the follower's, so the follower resolves the key
+        itself instead of inheriting a 504.
+        """
         if not flight.done.wait(timeout=deadline.remaining()):
             raise RequestDeadlineError(
                 f"request deadline of {deadline.seconds}s exceeded while "
                 "waiting for a coalesced duplicate computation"
             )
+        if isinstance(flight.error, RequestDeadlineError):
+            return None
         if flight.error is not None:
             raise flight.error
         assert flight.body is not None

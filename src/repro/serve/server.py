@@ -7,8 +7,8 @@ five endpoints:
   deterministic JSON of :func:`~repro.serve.protocol.run_body`.
 * ``POST /sweep`` — a seed range, streamed as newline-delimited JSON in
   a chunked response: one run body per seed in seed order, then one
-  deterministic summary line.  Per-seed lines share cache entries with
-  ``/run``.
+  deterministic summary line.  Per-seed lines share cache entries and
+  in-flight computations with ``/run``.
 * ``GET /healthz`` — liveness (never touches the simulator or store),
   plus the readiness fields for humans.
 * ``GET /readyz`` — readiness as a status code: 200 while the daemon
@@ -29,16 +29,21 @@ repeated traffic is answered from the content-addressed
 :class:`~repro.serve.store.ResultStore` at memory speed with
 byte-identical bodies.
 
-Self-protection (PR 9) mirrors the paper's wait-freedom at the HTTP
-layer: a weighted in-flight budget sheds excess load as structured 429s
+Both POST endpoints resolve seeds through one routine,
+:meth:`ReproServer.resolve`: a store lookup, then single-flight
+coalescing (:class:`~repro.serve.admission.SingleFlight`), then one
+pooled computation of what is left.  A content address is therefore
+computed once however many ``/run``\\ s and ``/sweep``\\ s ask for it at
+the same time.
+
+Self-protection mirrors the paper's wait-freedom at the HTTP layer: a
+weighted in-flight budget sheds excess load as structured 429s
 (``Retry-After`` included) instead of growing unbounded handler threads;
 every request runs under a wall-clock deadline
 (:class:`~repro.serve.admission.Deadline`) so a wedged seed becomes a
-taxonomy-mapped 504 that frees its slot; concurrent duplicate ``/run``\\ s
-coalesce onto one computation (:class:`~repro.serve.admission
-.SingleFlight`); and a rolling-window circuit breaker flips ``/readyz``
-when the worker pool keeps dying.  ``close()`` drains in-flight requests
-gracefully before tearing the pool down.
+taxonomy-mapped 504 that frees its slot; and a rolling-window circuit
+breaker flips ``/readyz`` when the worker pool keeps dying.  ``close()``
+drains in-flight requests gracefully before tearing the pool down.
 
 Threading model: the HTTP layer is a thread per connection, but
 simulation work is serialized behind one lock — the pool (or the
@@ -334,101 +339,37 @@ class ReproServer:
 
     # -- execution ---------------------------------------------------------
 
-    def resolve_one(
-        self,
-        scenario: Scenario,
-        seed: int,
-        *,
-        use_cache: bool,
-        deadline: Deadline,
-        prefix: str = "serve.run",
-        trace: Optional[RequestTrace] = None,
-    ) -> Tuple[str, str]:
-        """The ``POST /run`` path: cache, then single-flight, then
-        compute.
-
-        Concurrent duplicates for the same content address coalesce
-        onto one computation: the first becomes the leader, the rest
-        wait for its bytes (state ``"coalesced"``) — determinism makes
-        the leader's body *the* body, so followers lose nothing but the
-        redundant work.
-        """
-        backend = kernels.get_backend()
-        key = result_key(
-            scenario.to_dict(),
-            seed,
-            backend=backend,
-            engine=scenario.engine,
-            code_version=__version__,
-        )
-        if not use_cache:
-            body = self._compute_one(
-                scenario, seed, key, deadline, prefix, trace=trace
-            )
-            return body, "bypass"
-        lookup = None if trace is None else trace.begin("cache_lookup")
-        body = self.store.get(key)
-        if lookup is not None:
-            trace.end(lookup, hit=body is not None)
-        if body is not None:
-            return body, "hit"
-        flight_span = None if trace is None else trace.begin("singleflight")
-        leader, flight = self.flights.lead_or_follow(key)
-        if not leader:
-            try:
-                body = SingleFlight.wait(flight, deadline)
-            finally:
-                if flight_span is not None:
-                    trace.end(flight_span, role="follower")
-            return body, "coalesced"
-        try:
-            # Re-check under leadership: another leader (or daemon
-            # sharing the disk layer) may have landed the entry between
-            # our miss and winning the flight.
-            body = self.store.get(key, count=False)
-            state = "hit"
-            if body is None:
-                body = self._compute_one(
-                    scenario, seed, key, deadline, prefix, trace=trace
-                )
-                self.store.put(key, body)
-                state = "miss"
-        except BaseException as exc:
-            # Followers inherit the leader's failure — recomputing the
-            # same pure function would fail the same way, and N copies
-            # of one error must not become N computations.
-            self.flights.finish(key, flight, error=exc)
-            if flight_span is not None:
-                trace.end(flight_span, role="leader", error=True)
-            raise
-        self.flights.finish(key, flight, body=body)
-        if flight_span is not None:
-            trace.end(flight_span, role="leader")
-        return body, state
-
     def resolve(
         self,
         scenario: Scenario,
         seeds: Sequence[int],
         *,
         use_cache: bool,
+        deadline: Deadline,
         prefix: str,
-        deadline: Optional[Deadline] = None,
         trace: Optional[RequestTrace] = None,
     ) -> List[Tuple[str, str]]:
-        """``(body, cache_state)`` per seed, in seed order.
+        """``(body, cache_state)`` per seed, in seed order: the one
+        execution path of ``POST /run`` (one seed) and ``POST /sweep``
+        (one block of seeds).
 
-        The block execution path of ``/sweep``: look every seed up in
-        the store, compute the misses in one (pooled) map, fill the
-        store, and return deterministic bodies.  ``cache_state`` is
-        ``"hit"`` / ``"miss"`` / ``"bypass"`` per seed.
+        With the cache on, each seed is a counted store lookup; a miss
+        joins the seed's single flight.  The first request for a key
+        leads it, every concurrent duplicate follows and gets the
+        leader's bytes (``"coalesced"``) — determinism makes the
+        leader's body *the* body.  Led seeds (and, with the cache off,
+        every seed: ``"bypass"``) are computed in one pooled dispatch.
+        Every led flight is finished, with its body or its error,
+        before any followed flight is awaited: two overlapping sweeps
+        each lead seeds the other follows, so waiting first would
+        deadlock them.
         """
-        if deadline is not None:
-            deadline.check("before resolving a seed block")
+        deadline.check("before resolving a seed block")
         backend = kernels.get_backend()
+        spec = scenario.to_dict()
         keys = [
             result_key(
-                scenario.to_dict(),
+                spec,
                 seed,
                 backend=backend,
                 engine=scenario.engine,
@@ -436,62 +377,98 @@ class ReproServer:
             )
             for seed in seeds
         ]
-        resolved: dict = {}
-        todo: List[int] = []
-        todo_keys: List[str] = []
-        lookup = None
-        if trace is not None and use_cache:
-            lookup = trace.begin("cache_lookup", {"seeds": len(seeds)})
-        for seed, key in zip(seeds, keys):
-            body = self.store.get(key) if use_cache else None
-            if body is not None:
-                resolved[seed] = (body, "hit")
-            else:
-                todo.append(seed)
-                todo_keys.append(key)
-        if lookup is not None:
-            trace.end(lookup, hits=len(seeds) - len(todo))
-        if todo:
-            results = self._execute(
-                scenario, todo, prefix=prefix, deadline=deadline, trace=trace
-            )
-            state = "miss" if use_cache else "bypass"
-            for seed, key, result in zip(todo, todo_keys, results):
-                body = protocol.run_body(
-                    key,
+        resolved: List[Optional[Tuple[str, str]]] = [None] * len(seeds)
+        todo = list(range(len(seeds)))
+        if use_cache:
+            lookup = None
+            if trace is not None:
+                lookup = trace.begin("cache_lookup", {"seeds": len(seeds)})
+            todo = []
+            for i, key in enumerate(keys):
+                body = self.store.get(key)
+                if body is None:
+                    todo.append(i)
+                else:
+                    resolved[i] = (body, "hit")
+            if lookup is not None:
+                trace.end(lookup, hits=len(seeds) - len(todo), hit=not todo)
+            if not todo:
+                return resolved
+        led: dict = {}  # index -> the flight this request leads
+        followed: list = []  # (index, flight) led by another request
+        flight_span = None
+        if use_cache and trace is not None:
+            flight_span = trace.begin("singleflight")
+        try:
+            if use_cache:
+                misses, todo = todo, []
+                for i in misses:
+                    leader, flight = self.flights.lead_or_follow(keys[i])
+                    if not leader:
+                        followed.append((i, flight))
+                        continue
+                    # Re-check under leadership: another leader (or
+                    # daemon sharing the disk layer) may have landed the
+                    # entry between our miss and winning the flight.
+                    body = self.store.get(keys[i], count=False)
+                    if body is None:
+                        led[i] = flight
+                        todo.append(i)
+                    else:
+                        resolved[i] = (body, "hit")
+                        self.flights.finish(keys[i], flight, body=body)
+            if todo:
+                results = self._execute(
                     scenario,
-                    seed,
-                    result,
-                    backend=backend,
-                    code_version=__version__,
+                    [seeds[i] for i in todo],
+                    prefix=prefix,
+                    deadline=deadline,
+                    trace=trace,
                 )
-                if use_cache:
-                    self.store.put(key, body)
-                resolved[seed] = (body, state)
-        return [resolved[seed] for seed in seeds]
+                state = "miss" if use_cache else "bypass"
+                for i, result in zip(todo, results):
+                    body = protocol.run_body(
+                        keys[i],
+                        scenario,
+                        seeds[i],
+                        result,
+                        backend=backend,
+                        code_version=__version__,
+                    )
+                    if use_cache:
+                        self.store.put(keys[i], body)
+                        self.flights.finish(keys[i], led.pop(i), body=body)
+                    resolved[i] = (body, state)
+            # Every led flight is finished by now.
+            for i, flight in followed:
+                body = SingleFlight.wait(flight, deadline)
+                if body is not None:
+                    resolved[i] = (body, "coalesced")
+                else:
+                    # The leader ran out of its own deadline.
+                    [resolved[i]] = self.resolve(
+                        scenario,
+                        [seeds[i]],
+                        use_cache=use_cache,
+                        deadline=deadline,
+                        prefix=prefix,
+                        trace=trace,
+                    )
+        except BaseException as exc:
+            # Followers inherit the leader's failure — recomputing the
+            # same pure function would fail the same way, and N copies
+            # of one error must not become N computations.  (A deadline
+            # error is the leader's own; SingleFlight.wait skips it.)
+            for i, flight in led.items():
+                self.flights.finish(keys[i], flight, error=exc)
+            if flight_span is not None:
+                trace.end(flight_span, error=True)
+            raise
+        if flight_span is not None:
+            trace.end(flight_span, led=len(todo), followed=len(followed))
+        return resolved
 
-    def _compute_one(
-        self,
-        scenario: Scenario,
-        seed: int,
-        key: str,
-        deadline: Deadline,
-        prefix: str,
-        trace: Optional[RequestTrace] = None,
-    ) -> str:
-        [result] = self._execute(
-            scenario, [seed], prefix=prefix, deadline=deadline, trace=trace
-        )
-        return protocol.run_body(
-            key,
-            scenario,
-            seed,
-            result,
-            backend=kernels.get_backend(),
-            code_version=__version__,
-        )
-
-    def _deadline_policy(self, deadline: Optional[Deadline]) -> RunPolicy:
+    def _deadline_policy(self, deadline: Deadline) -> RunPolicy:
         """The run policy for one dispatch, deadline threaded in.
 
         When the request deadline is the binding constraint (tighter
@@ -501,8 +478,6 @@ class ReproServer:
         nothing for a retry to run in, so retrying would only hold the
         admission slot past its deadline.
         """
-        if deadline is None:
-            return self.policy
         remaining = deadline.remaining()
         if remaining is None:
             return self.policy
@@ -517,7 +492,7 @@ class ReproServer:
         seeds: Sequence[int],
         *,
         prefix: str,
-        deadline: Optional[Deadline] = None,
+        deadline: Deadline,
         trace: Optional[RequestTrace] = None,
     ) -> List:
         """Run the missing seeds through the warm pool (or serially,
@@ -544,7 +519,7 @@ class ReproServer:
                 "worker_run", {"seeds": len(seeds), "scenario": label}
             )
         try:
-            remaining = None if deadline is None else deadline.remaining()
+            remaining = deadline.remaining()
             acquired = self._work_lock.acquire(
                 timeout=-1 if remaining is None else remaining
             )
@@ -554,8 +529,7 @@ class ReproServer:
                     "queued for the simulation slot"
                 )
             try:
-                if deadline is not None:
-                    deadline.check("while queued for the simulation slot")
+                deadline.check("while queued for the simulation slot")
                 try:
                     results = parallel_map(
                         partial(run_scenario, scenario),
@@ -568,7 +542,7 @@ class ReproServer:
                     self.breaker.record_failure()
                     raise
                 except SeedTimeoutError:
-                    if deadline is not None and deadline.expired:
+                    if deadline.expired:
                         raise RequestDeadlineError(
                             f"request deadline of {deadline.seconds}s "
                             "exceeded while computing"
@@ -848,21 +822,33 @@ class _Handler(BaseHTTPRequestHandler):
     # -- endpoints ---------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch(self._do_get)
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch(self._do_post)
+
+    def _dispatch(self, handler) -> None:
         self._begin_access(self.path.lstrip("/") or "/")
         try:
-            self._do_get()
+            handler()
         finally:
             self._finish_access()
 
+    def _send_not_found(self) -> None:
+        self._send_json(
+            404,
+            protocol.error_body(
+                ReproError(f"no such endpoint: {self.command} {self.path}"),
+                status=404,
+            ),
+        )
+
     def _do_get(self) -> None:
         app = self.server.app
-        started = self._t0
         if self.path == "/healthz":
             body = json.dumps(app.healthz_document(), sort_keys=True) + "\n"
             self._send_json(200, body)
-            app.observe_request("healthz", time.perf_counter() - started, None)
-            return
-        if self.path == "/readyz":
+        elif self.path == "/readyz":
             # Readiness as a status code, for load balancers that only
             # look there; the JSON carries the reason for humans.
             ready = app.ready
@@ -876,9 +862,7 @@ class _Handler(BaseHTTPRequestHandler):
                 sort_keys=True,
             ) + "\n"
             self._send_json(200 if ready else 503, body)
-            app.observe_request("readyz", time.perf_counter() - started, None)
-            return
-        if self.path == "/metrics":
+        elif self.path == "/metrics":
             # Content negotiation: the JSON document is the default;
             # an Accept asking for text/plain (or openmetrics) gets the
             # Prometheus exposition rendered *from* that same document.
@@ -892,41 +876,16 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 body = json.dumps(document, sort_keys=True) + "\n"
                 self._send_json(200, body)
-            app.observe_request("metrics", time.perf_counter() - started, None)
-            return
-        self._send_json(
-            404,
-            protocol.error_body(
-                ReproError(f"no such endpoint: GET {self.path}"), status=404
-            ),
-        )
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        app = self.server.app
-        if self.path == "/run":
-            endpoint = "run"
-        elif self.path == "/sweep":
-            endpoint = "sweep"
         else:
-            self._begin_access(self.path.lstrip("/") or "/")
-            try:
-                self._send_json(
-                    404,
-                    protocol.error_body(
-                        ReproError(f"no such endpoint: POST {self.path}"),
-                        status=404,
-                    ),
-                )
-            finally:
-                self._finish_access()
+            self._send_not_found()
             return
-        self._begin_access(endpoint)
-        try:
-            self._do_post(endpoint)
-        finally:
-            self._finish_access()
+        app.observe_request(self._route, time.perf_counter() - self._t0, None)
 
-    def _do_post(self, endpoint: str) -> None:
+    def _do_post(self) -> None:
+        if self.path not in ("/run", "/sweep"):
+            self._send_not_found()
+            return
+        endpoint = self._route
         app = self.server.app
         self._trace = app.start_trace(self._rid, endpoint, "POST")
         # Admission before parsing: shedding must stay cheap, and a
@@ -963,19 +922,36 @@ class _Handler(BaseHTTPRequestHandler):
                 app.admission.release(weight)
 
         try:
-            if endpoint == "run":
-                self._handle_run(self._t0, release)
-            else:
-                self._handle_sweep(self._t0, release)
+            self._serve_post(endpoint, release)
         finally:
             release()
 
-    def _handle_run(self, started: float, release) -> None:
+    @staticmethod
+    def _structured(exc: Exception, where: str) -> ReproError:
+        """The HTTP boundary: anything unanticipated becomes a
+        structured 500, never a dead connection + traceback."""
+        if isinstance(exc, ReproError):
+            return exc
+        logger.exception("%s failed", where)
+        return ReproError(f"internal error: {type(exc).__name__}: {exc}")
+
+    def _serve_post(self, endpoint: str, release) -> None:
+        """The one POST prologue, then the endpoint's response framing.
+
+        Everything before the first response byte (parsing, the
+        deadline, and for ``/run`` the whole resolution) fails as one
+        structured error response.
+        """
         app = self.server.app
         try:
-            request = protocol.parse_run_request(
+            parse = (
+                protocol.parse_run_request
+                if endpoint == "run"
+                else protocol.parse_sweep_request
+            )
+            request = parse(
                 protocol.parse_json_body(
-                    self._read_body(), where="POST /run"
+                    self._read_body(), where=f"POST /{endpoint}"
                 )
             )
             use_cache = app.cache_enabled and request.use_cache
@@ -983,63 +959,37 @@ class _Handler(BaseHTTPRequestHandler):
             # The chaos slow-handler fault sleeps *inside* the deadline
             # window — a slow handler is precisely what deadlines must
             # bound, so the fault draws from the request's budget.
-            app.chaos_slow("run")
+            app.chaos_slow(endpoint)
             deadline.check("in the request handler")
-            body, cache_state = app.resolve_one(
-                request.scenario,
-                request.seed,
-                use_cache=use_cache,
-                deadline=deadline,
-                trace=self._trace,
-            )
-        except ReproError as exc:
-            release()
-            self._send_error_json("run", exc)
-            return
+            if endpoint == "run":
+                body, cache_state = app.resolve(
+                    request.scenario,
+                    [request.seed],
+                    use_cache=use_cache,
+                    deadline=deadline,
+                    prefix="serve.run",
+                    trace=self._trace,
+                )[0]
         except Exception as exc:
-            # The HTTP boundary: anything unanticipated becomes a
-            # structured 500, never a dead connection + traceback.
-            logger.exception("POST /run failed")
             release()
             self._send_error_json(
-                "run",
-                ReproError(
-                    f"internal error: {type(exc).__name__}: {exc}"
-                ),
+                endpoint, self._structured(exc, f"POST /{endpoint}")
             )
+            return
+        if endpoint == "sweep":
+            self._stream_sweep(request, use_cache, deadline, release)
             return
         # Account *before* the last byte goes out: a client may
         # read the response and immediately scrape /metrics, and
         # its own request must already be there.
-        app.observe_request(
-            "run", time.perf_counter() - started, cache_state
-        )
+        app.observe_request("run", time.perf_counter() - self._t0, cache_state)
         release()
         self._send_json(200, body, cache_state=cache_state)
 
-    def _handle_sweep(self, started: float, release) -> None:
+    def _stream_sweep(
+        self, request, use_cache: bool, deadline: Deadline, release
+    ) -> None:
         app = self.server.app
-        try:
-            request = protocol.parse_sweep_request(
-                protocol.parse_json_body(
-                    self._read_body(), where="POST /sweep"
-                )
-            )
-        except ReproError as exc:
-            release()
-            self._send_error_json("sweep", exc)
-            return
-        use_cache = app.cache_enabled and request.use_cache
-        deadline = app.deadline_for(request.deadline_s)
-        app.chaos_slow("sweep")
-        try:
-            # Expired before streaming began: a clean structured 504 is
-            # still possible (after the first chunk it no longer is).
-            deadline.check("in the request handler")
-        except ReproError as exc:
-            release()
-            self._send_error_json("sweep", exc)
-            return
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
@@ -1048,46 +998,32 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(REQUEST_ID_HEADER, self._rid)
         self.end_headers()
         verdicts: dict = {}
-        hits = misses = 0
+        misses = 0
         try:
             # Stream block by block, in seed order: progress is live,
             # but the byte stream is a pure function of the request.
             # The deadline is checked per block — an expired budget
             # turns into the stream's (structured) last line.
             for i in range(0, len(request.seeds), SWEEP_BLOCK):
-                block = request.seeds[i : i + SWEEP_BLOCK]
                 for body, cache_state in app.resolve(
                     request.scenario,
-                    block,
+                    request.seeds[i : i + SWEEP_BLOCK],
                     use_cache=use_cache,
-                    prefix="serve.sweep",
                     deadline=deadline,
+                    prefix="serve.sweep",
                     trace=self._trace,
                 ):
                     verdict = json.loads(body)["result"]["verdict"]
                     verdicts[verdict] = verdicts.get(verdict, 0) + 1
-                    hits += cache_state == "hit"
                     misses += cache_state != "hit"
                     self._write_chunk(body.encode("utf-8"))
-        except ReproError as exc:
+        except Exception as exc:
             # Headers are gone; the error becomes the stream's last
             # line, and the chunked coding still terminates cleanly.
-            app.observe_error("sweep", exc)
+            error = self._structured(exc, "POST /sweep mid-stream")
+            app.observe_error("sweep", error)
             release()
-            self._write_chunk(protocol.error_body(exc).encode("utf-8"))
-            self._end_chunks()
-            return
-        except Exception as exc:
-            logger.exception("POST /sweep failed mid-stream")
-            app.observe_error("sweep", exc)
-            release()
-            self._write_chunk(
-                protocol.error_body(
-                    ReproError(
-                        f"internal error: {type(exc).__name__}: {exc}"
-                    )
-                ).encode("utf-8")
-            )
+            self._write_chunk(protocol.error_body(error).encode("utf-8"))
             self._end_chunks()
             return
         cache_state = None
@@ -1097,7 +1033,7 @@ class _Handler(BaseHTTPRequestHandler):
         # Account before the terminating chunk: once the client's read
         # completes, this request is visible in /metrics.
         app.observe_request(
-            "sweep", time.perf_counter() - started, cache_state
+            "sweep", time.perf_counter() - self._t0, cache_state
         )
         release()
         self._write_chunk(

@@ -58,10 +58,12 @@ class SvgDocument:
     ) -> None:
         """Define the world-coordinate window shown by the viewport."""
         x0, y0, x1, y1 = world
+        # A degenerate extent (one point, a vertical or horizontal
+        # line) gets a unit window centred on it, not one cornered at it.
         if x1 <= x0:
-            x1 = x0 + 1.0
+            x0, x1 = x0 - 0.5, x0 + 0.5
         if y1 <= y0:
-            y1 = y0 + 1.0
+            y0, y1 = y0 - 0.5, y0 + 0.5
         pad_x = (x1 - x0) * margin
         pad_y = (y1 - y0) * margin
         x0, x1 = x0 - pad_x, x1 + pad_x

@@ -5,6 +5,7 @@ from .generators import (
     asymmetric,
     biangular,
     bivalent,
+    check_size,
     gathered,
     generate,
     linear_unique_weber,
@@ -23,6 +24,7 @@ __all__ = [
     "asymmetric",
     "biangular",
     "bivalent",
+    "check_size",
     "gathered",
     "generate",
     "linear_unique_weber",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core import ConfigClass, Configuration, classify
 from ..geometry import DEFAULT_TOLERANCE, Point, Tolerance, rotate_clockwise
@@ -31,8 +31,40 @@ __all__ = [
     "quasi_regular_occupied_center",
     "asymmetric",
     "generate",
+    "check_size",
     "CLASS_GENERATORS",
+    "SIZE_RULES",
 ]
+
+
+#: The team sizes each workload kind can build, ``kind -> (accepts,
+#: rule)``.  The one home of every size rule: the generators check their
+#: ``n`` here, and so does :class:`~repro.experiments.runner.Scenario`,
+#: so a bad ``(workload, n)`` pair is refused before anything runs.
+SIZE_RULES: Dict[str, Tuple[Callable[[int], bool], str]] = {
+    "random": (lambda n: n >= 1, "n >= 1"),
+    "gathered": (lambda n: n >= 1, "n >= 1"),
+    "multiple": (lambda n: n >= 3, "n >= 3"),
+    "bivalent": (lambda n: n >= 2 and n % 2 == 0, "an even n >= 2"),
+    "near-bivalent": (lambda n: n >= 3, "n >= 3"),
+    # n = 4 admits no L1W configuration (see linear_unique_weber).
+    "linear-unique": (lambda n: n == 3 or n >= 5, "n = 3 or n >= 5"),
+    # Lemma 4.1: a median interval needs an even n on >= 4 points.
+    "linear-interval": (lambda n: n >= 4 and n % 2 == 0, "an even n >= 4"),
+    "regular-polygon": (lambda n: n >= 3, "n >= 3 on the polygon"),
+    "biangular": (lambda n: n >= 6 and n % 2 == 0, "an even n >= 6"),
+    "qr-occupied-center": (lambda n: n >= 6, "n >= 6"),
+    "unsafe-ray": (lambda n: n >= 6 and n % 2 == 0, "an even n >= 6"),
+    "asymmetric": (lambda n: n >= 3, "n >= 3"),
+}
+
+
+def check_size(kind: str, n: int) -> None:
+    """Raise ``ValueError`` unless workload ``kind`` can place ``n``
+    robots (see :data:`SIZE_RULES`)."""
+    accepts, rule = SIZE_RULES[kind]
+    if not accepts(n):
+        raise ValueError(f"workload {kind!r} needs {rule}, got n={n}")
 
 
 def _rng(seed: int) -> random.Random:
@@ -45,8 +77,7 @@ def random_points(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     Almost surely distinct, non-collinear and asymmetric — the "generic"
     workload.
     """
-    if n < 1:
-        raise ValueError("need at least one robot")
+    check_size("random", n)
     rng = _rng(seed)
     return [
         Point(rng.uniform(0.0, scale), rng.uniform(0.0, scale))
@@ -56,6 +87,7 @@ def random_points(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
 
 def gathered(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     """All robots at one point — the trivial gathered configuration."""
+    check_size("gathered", n)
     rng = _rng(seed)
     p = Point(rng.uniform(0.0, scale), rng.uniform(0.0, scale))
     return [p] * n
@@ -67,8 +99,7 @@ def multiple(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     Places ``k >= 2`` robots on a single point (with ``k`` strictly above
     every other multiplicity) and spreads the rest.
     """
-    if n < 3:
-        raise ValueError("class M with distinct other points needs n >= 3")
+    check_size("multiple", n)
     seed_try = seed
     while True:
         rng = _rng(seed_try)
@@ -84,8 +115,7 @@ def multiple(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
 
 def bivalent(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     """The impossible configuration ``B``: two points, ``n/2`` robots each."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError("bivalent configurations need an even n >= 2")
+    check_size("bivalent", n)
     rng = _rng(seed)
     a = Point(rng.uniform(0, scale), rng.uniform(0, scale))
     b = Point(rng.uniform(0, scale), rng.uniform(0, scale))
@@ -100,8 +130,7 @@ def near_bivalent(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     The workload of the safe-point ablation (experiment E9): one greedy
     step away from the bivalent trap.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    check_size("near-bivalent", n)
     seed_try = seed
     while True:
         rng = _rng(seed_try)
@@ -131,8 +160,7 @@ def linear_unique_weber(n: int, seed: int = 0, scale: float = 10.0) -> List[Poin
     collinear locations with total multiplicity 4 always have a unique
     maximum, and four distinct points have a median interval.)
     """
-    if n < 3 or n == 4:
-        raise ValueError("L1W needs n = 3 or n >= 5")
+    check_size("linear-unique", n)
     rng = _rng(seed)
     seed_try = seed
     while True:
@@ -161,8 +189,7 @@ def linear_weber_interval_config(
     (Lemma 4.1) with distinct middle order statistics and no unique
     multiplicity maximum.
     """
-    if n < 4 or n % 2 != 0:
-        raise ValueError("L2W needs an even n >= 4 (Lemma 4.1)")
+    check_size("linear-interval", n)
     rng = _rng(seed)
     origin = Point(rng.uniform(0, scale), rng.uniform(0, scale))
     angle = rng.uniform(0, 2 * math.pi)
@@ -186,8 +213,7 @@ def regular_polygon(
     symmetric configuration is regular, hence quasi-regular).
     """
     k = n - center_robots
-    if k < 3:
-        raise ValueError("need at least 3 robots on the polygon")
+    check_size("regular-polygon", k)
     rng = _rng(seed)
     center = Point(rng.uniform(0, scale), rng.uniform(0, scale))
     radius = rng.uniform(scale / 4, scale / 2)
@@ -212,8 +238,7 @@ def biangular(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     the case where the string-of-angles machinery genuinely earns its
     keep.
     """
-    if n < 6 or n % 2 != 0:
-        raise ValueError("biangular configurations need an even n >= 6")
+    check_size("biangular", n)
     seed_try = seed
     while True:
         rng = _rng(seed_try)
@@ -251,8 +276,7 @@ def quasi_regular_occupied_center(
     stacking more robots there would make it the unique maximum and the
     class would collapse to ``M``.
     """
-    if n < 6:
-        raise ValueError("need n >= 6")
+    check_size("qr-occupied-center", n)
     seed_try = seed
     while True:
         rng = _rng(seed_try)
@@ -300,8 +324,7 @@ def unsafe_ray(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     the bivalent trap.  The paper's side-step rule (case ``M``) exists
     precisely to make this impossible.  Used by experiment E9.
     """
-    if n < 6 or n % 2 != 0:
-        raise ValueError("unsafe-ray needs an even n >= 6")
+    check_size("unsafe-ray", n)
     rng = _rng(seed)
     p = Point(rng.uniform(0, scale), rng.uniform(0, scale))
     angle = rng.uniform(0, 2 * math.pi)
@@ -321,8 +344,7 @@ def unsafe_ray(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
 
 def asymmetric(n: int, seed: int = 0, scale: float = 10.0) -> List[Point]:
     """A configuration of class ``A`` — generic position, verified."""
-    if n < 3:
-        raise ValueError("need n >= 3")
+    check_size("asymmetric", n)
     seed_try = seed
     while True:
         pts = random_points(n, seed_try, scale)

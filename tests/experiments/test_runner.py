@@ -67,6 +67,10 @@ class TestScenario:
             ("n", 8.0),
             ("n", True),
             ("n", 0),
+            # Size rules of the workload (bivalent: even n).
+            ("n", 5),
+            ("workload", "biangular"),
+            ("workload", "linear-unique"),
             ("f", -1),
             ("f", 1.5),
             ("max_rounds", 0),
@@ -82,9 +86,9 @@ class TestScenario:
     )
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            Scenario(**{"workload": "random", "n": 8, field: value})
+            Scenario(**{"workload": "bivalent", "n": 4, field: value})
         with pytest.raises(ValueError, match=field):
-            Scenario.from_dict({"workload": "random", "n": 8, field: value})
+            Scenario.from_dict({"workload": "bivalent", "n": 4, field: value})
 
     def test_every_registry_name_accepted(self):
         for name in SCHEDULERS:

@@ -137,6 +137,15 @@ class TestSingleFlight:
         with pytest.raises(RuntimeError, match="boom"):
             SingleFlight.wait(flight, Deadline(None))
 
+    def test_leader_deadline_is_not_inherited(self):
+        # The leader's budget is its own: the follower gets no body and
+        # resolves the key itself.
+        flights = SingleFlight()
+        _, flight = flights.lead_or_follow("k")
+        flights.lead_or_follow("k")
+        flights.finish("k", flight, error=RequestDeadlineError("leader"))
+        assert SingleFlight.wait(flight, Deadline(None)) is None
+
     def test_follower_deadline_is_a_504(self):
         flights = SingleFlight()
         _, flight = flights.lead_or_follow("k")

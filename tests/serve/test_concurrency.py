@@ -1,7 +1,7 @@
 """Store races under real concurrency: exactly-once computation.
 
-``N`` threads fire identical and distinct ``POST /run``\\ s through real
-sockets at once.  The properties under test are the cache's soundness
+``N`` threads fire identical and distinct ``POST /run``\\ s (and
+overlapping ``POST /sweep``\\ s) through real sockets at once.  The properties under test are the cache's soundness
 guarantees, which must hold for *every* interleaving:
 
 * one computation per content address (duplicates coalesce or hit);
@@ -11,7 +11,10 @@ guarantees, which must hold for *every* interleaving:
 """
 
 import json
+import sys
 import threading
+import time
+from contextlib import contextmanager
 
 from .client import serving
 
@@ -26,21 +29,27 @@ SCENARIO = {
 
 def fire_concurrently(client, payloads):
     """POST /run for every payload at once (barrier start); -> results."""
-    results = [None] * len(payloads)
-    barrier = threading.Barrier(len(payloads))
+    return post_concurrently(client, [("/run", p) for p in payloads])
 
-    def worker(index, payload):
+
+def post_concurrently(client, requests):
+    """POST every ``(path, payload)`` at once (barrier start); ->
+    results in request order."""
+    results = [None] * len(requests)
+    barrier = threading.Barrier(len(requests))
+
+    def worker(index, path, payload):
         barrier.wait()
-        results[index] = client.request("POST", "/run", payload)
+        results[index] = client.request("POST", path, payload)
 
     threads = [
-        threading.Thread(target=worker, args=(i, p))
-        for i, p in enumerate(payloads)
+        threading.Thread(target=worker, args=(i, path, payload))
+        for i, (path, payload) in enumerate(requests)
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120)
     return results
 
 
@@ -145,3 +154,148 @@ class TestDistinctRequests:
             assert store.stores == len(seeds)  # nothing recomputed
             hits = client.metrics()["requests"]["serve.cache.hit"]
             assert hits >= len(seeds)
+
+
+@contextmanager
+def parked_until(client, coalesced):
+    """Hold the simulation slot while the body runs its requests, and
+    release it once ``coalesced`` seeds wait on another request's
+    flight (or after 10 s): every request has then resolved its keys
+    before anything computes."""
+    server = client.server
+    server._work_lock.acquire()
+
+    def release_when_parked():
+        stop = time.monotonic() + 10.0
+        while server.flights.coalesced < coalesced and time.monotonic() < stop:
+            time.sleep(0.005)
+        server._work_lock.release()
+
+    holder = threading.Thread(target=release_when_parked)
+    holder.start()
+    try:
+        yield
+    finally:
+        holder.join(timeout=30)
+
+
+def sweep_lines(raw):
+    """A sweep stream's per-seed lines, keyed by seed (summary dropped)."""
+    lines = raw.decode().splitlines(keepends=True)
+    return {json.loads(line)["seed"]: line.encode() for line in lines[:-1]}
+
+
+class TestAcrossEndpoints:
+    def test_sweeps_and_run_compute_each_seed_once(self, tmp_path):
+        sweep = {"scenario": SCENARIO, "seed_start": 0, "seed_count": 8}
+        with serving(store_root=str(tmp_path / "store")) as client:
+            # Seeds 0-7 are each led once and followed once by the
+            # other sweep; the /run of seed 3 follows too.
+            with parked_until(client, coalesced=9):
+                results = post_concurrently(
+                    client,
+                    [
+                        ("/sweep", sweep),
+                        ("/sweep", sweep),
+                        ("/run", {"scenario": SCENARIO, "seed": 3}),
+                    ],
+                )
+            assert [status for status, _, _ in results] == [200] * 3
+            (_, _, first), (_, _, second), (_, _, run) = results
+            assert first == second
+            assert sweep_lines(first)[3] == run
+            assert client.server.store.stores == 8
+            assert client.server.flights.coalesced >= 1
+            robustness = client.metrics()["robustness"]
+            assert robustness["coalesced"] == client.server.flights.coalesced
+
+    def test_overlapping_sweeps_do_not_deadlock(self, tmp_path):
+        # Each sweep can lead some of the seeds the other follows; both
+        # finish their own flights before waiting on the other's.
+        with serving(store_root=str(tmp_path / "store")) as client:
+            with parked_until(client, coalesced=8):
+                results = post_concurrently(
+                    client,
+                    [
+                        ("/sweep", {"scenario": SCENARIO,
+                                    "seed_start": start, "seed_count": 16})
+                        for start in (0, 8)
+                    ],
+                )
+            assert [status for status, _, _ in results] == [200, 200]
+            low, high = (sweep_lines(raw) for _, _, raw in results)
+            assert sorted(low) == list(range(16))
+            assert sorted(high) == list(range(8, 24))
+            assert all(low[seed] == high[seed] for seed in range(8, 16))
+            assert client.server.store.stores == 24
+
+    def test_mixed_overlapping_traffic_stress(self, tmp_path):
+        # More clients than cores and a short switch interval: sweeps
+        # over overlapping ranges and single runs race for the same
+        # keys.  A lost flight update would compute a key twice (or
+        # hang a follower past the join timeout).
+        requests = [
+            ("/sweep", {"scenario": SCENARIO, "seed_start": 4 * k,
+                        "seed_count": 12})
+            for k in range(4)
+        ] + [("/run", {"scenario": SCENARIO, "seed": s}) for s in (2, 9, 13)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with serving(store_root=str(tmp_path / "store")) as client:
+                results = post_concurrently(client, requests)
+                stores = client.server.store.stores
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result is not None for result in results)
+        assert [status for status, _, _ in results] == [200] * len(requests)
+        bodies = {}
+        for (path, payload), (_, _, raw) in zip(requests, results):
+            if path == "/run":
+                lines = {payload["seed"]: raw}
+            else:
+                lines = sweep_lines(raw)
+            for seed, line in lines.items():
+                assert bodies.setdefault(seed, line) == line
+        assert sorted(bodies) == list(range(24))
+        assert stores == 24
+
+    def test_follower_does_not_inherit_leader_deadline(self, tmp_path):
+        # A /run with a short deadline leads seed 5 and times out queued
+        # for the simulation slot; the deadline-free sweep following it
+        # must resolve seed 5 itself, not end in the /run's 504.
+        server_kwargs = {"store_root": str(tmp_path / "store")}
+        with serving(**server_kwargs) as client:
+            server = client.server
+            server._work_lock.acquire()
+            results = {}
+
+            def send(name, path, payload):
+                results[name] = client.request("POST", path, payload)
+
+            run = threading.Thread(target=send, args=(
+                "run", "/run",
+                {"scenario": SCENARIO, "seed": 5, "deadline_s": 0.5},
+            ))
+            sweep = threading.Thread(target=send, args=(
+                "sweep", "/sweep",
+                {"scenario": SCENARIO, "seed_start": 0, "seed_count": 8},
+            ))
+            try:
+                run.start()
+                stop = time.monotonic() + 10.0
+                while not server.flights._flights and time.monotonic() < stop:
+                    time.sleep(0.005)
+                sweep.start()
+                while server.flights.coalesced < 1 and time.monotonic() < stop:
+                    time.sleep(0.005)
+                run.join(timeout=30)
+            finally:
+                server._work_lock.release()
+            sweep.join(timeout=60)
+            assert not run.is_alive() and not sweep.is_alive()
+            assert results["run"][0] == 504
+            status, _, raw = results["sweep"]
+            assert status == 200
+            assert sorted(sweep_lines(raw)) == list(range(8))
+            assert server.store.stores == 8

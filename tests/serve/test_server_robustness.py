@@ -159,6 +159,7 @@ class TestReadiness:
             dict(SCENARIO, scheduler="nope"),
             dict(SCENARIO, n="8"),
             dict(SCENARIO, visibility=0),
+            dict(SCENARIO, workload="bivalent", n=5),
         ]
         policy = RunPolicy(retries=2, backoff=0.0)
         with serving(breaker_threshold=1, policy=policy) as client:

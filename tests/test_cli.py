@@ -374,6 +374,34 @@ class TestRender:
         with open(target) as handle:
             assert "Weber point" in handle.read()
 
+    @pytest.mark.parametrize(
+        "workload, n, verdict",
+        [("bivalent", "6", "impossible"), ("gathered", "4", "gathered")],
+    )
+    def test_render_run_that_halts_before_any_step(
+        self, capsys, tmp_path, workload, n, verdict
+    ):
+        # Nothing moves, so the drawing is the initial configuration,
+        # captioned with the verdict.
+        target = str(tmp_path / "halt.svg")
+        code = main(["render", target, "--workload", workload, "--n", n])
+        assert code == 0
+        with open(target) as handle:
+            svg = handle.read()
+        assert svg.startswith("<svg")
+        assert f"verdict={verdict} in 0 rounds" in svg
+        assert f"wrote {target} ({verdict} in 0 rounds)" in capsys.readouterr().out
+
+    def test_render_rejects_size_its_workload_cannot_build(self, capsys, tmp_path):
+        target = tmp_path / "bad.svg"
+        for extra in ([], ["--snapshot"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["render", str(target), "--workload", "bivalent",
+                      "--n", "5", *extra])
+            assert exc.value.code == 2
+            assert "even n" in capsys.readouterr().err
+        assert not target.exists()
+
 
 class TestSaveTrace:
     def test_trace_json_written_and_loadable(self, capsys, tmp_path):

@@ -18,6 +18,7 @@ from repro.workloads import (
     regular_polygon,
     unsafe_ray,
 )
+from repro.workloads.generators import SIZE_RULES
 
 EXPECTED_CLASS = {
     "multiple": ConfigClass.MULTIPLE,
@@ -91,6 +92,18 @@ class TestValidation:
     def test_random_needs_positive(self):
         with pytest.raises(ValueError):
             random_points(0)
+
+    @pytest.mark.parametrize("kind", sorted(CLASS_GENERATORS))
+    def test_size_rules_match_generators(self, kind):
+        # SIZE_RULES is what Scenario checks: every size it accepts must
+        # generate, and every size it refuses must fail the generator.
+        accepts, _ = SIZE_RULES[kind]
+        for n in range(1, 10):
+            if accepts(n):
+                assert len(generate(kind, n, seed=1)) == n
+            else:
+                with pytest.raises(ValueError, match=kind):
+                    generate(kind, n, seed=1)
 
 
 class TestShapes:
